@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .eigen import eigen_symmetric
-from .errors import DataError, FacpcaError
+from .errors import DataError, FacpcaError, SizeError
 from .factors import build_model, full_loadings, simulate, truncate
 from .pipeline import pca_modified
 from .reporting import (
@@ -211,11 +211,19 @@ def _cmd_select(args) -> int:
     return 0
 
 
+def _factor_count(args, eig) -> int:
+    if args.factors is None:
+        return minvar_count(eig, args.epsilon).chosen
+    if args.factors < 1:
+        raise SizeError("factor count override must be at least 1")
+    return args.factors
+
+
 def _cmd_fa(args) -> int:
     corr, eig = _eigen_of(args)
+    k = _factor_count(args, eig)
     loadings = full_loadings(eig, corr.labels)
     _print_table("loadings_full", loading_table(loadings, with_communality=False))
-    k = args.factors or minvar_count(eig, args.epsilon).chosen
     truncated = truncate(loadings, k)
     _print_table(f"loadings_{k}_factors", loading_table(truncated, with_communality=True))
     if args.rotate == "varimax" and k >= 2:
@@ -265,6 +273,8 @@ def _cmd_report(args) -> int:
         percent_threshold=args.percent,
     )
     bundle = run_report(config)
+    if bundle.dropped_rows:
+        print(f"dropped {bundle.dropped_rows} row(s) with missing values")
     chosen = [row for row in bundle["criteria_comparison"].rows if row[0].startswith("min_variance")]
     print(f"wrote {len(bundle)} tables and the scree plot to {config.output_dir}")
     if chosen:
@@ -283,7 +293,7 @@ def _cmd_scree(args) -> int:
 def _cmd_simulate(args) -> int:
     corr, eig = _eigen_of(args)
     loadings = full_loadings(eig, corr.labels)
-    k = args.factors or minvar_count(eig, args.epsilon).chosen
+    k = _factor_count(args, eig)
     model = build_model(truncate(loadings, k))
     drawn = simulate(model, args.draws, args.seed)
     out = _out_dir(args)

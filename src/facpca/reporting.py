@@ -14,7 +14,9 @@ fixed number formatting, fixed table order, no timestamps.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +55,7 @@ __all__ = [
     "RunConfig",
     "IngestResult",
     "ReportTable",
+    "ReportBundle",
     "ingest",
     "read_data_csv",
     "read_correlation_csv",
@@ -125,6 +128,14 @@ class ReportTable:
     rows: list[list[str]]
 
 
+class ReportBundle(dict):
+    """The report's tables keyed by name, plus the rows the ingest dropped."""
+
+    def __init__(self, dropped_rows: int = 0) -> None:
+        super().__init__()
+        self.dropped_rows = dropped_rows
+
+
 def format_number(value) -> str:
     return format(float(value), ".12g")
 
@@ -133,59 +144,150 @@ def format_pct(fraction) -> str:
     return f"{float(fraction) * 100.0:.2f}"
 
 
-def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
+def _read_text(path) -> tuple[bytes, str]:
+    """The file's bytes and their UTF-8 text."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            raw = list(csv.reader(handle))
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None
-    rows = [
-        (line_no, [cell.strip() for cell in row])
-        for line_no, row in enumerate(raw, start=1)
-        if any(cell.strip() for cell in row)
-    ]
+    try:
+        return raw, raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+
+
+def _csv_rows(path, text: str) -> list[tuple[int, list[str]]]:
+    """The non-blank csv records of ``text`` with stripped cells and 1-based numbers."""
+    rows = []
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        cells = [cell.strip() for cell in row]
+        if any(cells):
+            rows.append((line_no, cells))
     if not rows:
         raise ParseError(f"{path}: file is empty")
     return rows
 
 
-def read_data_csv(path) -> tuple[DataMatrix, int]:
-    """Read a raw observation CSV: a header of labels, then numeric rows.
+def _parse_rows(path, rows, n: int) -> tuple[list[int], list[list[float]], int]:
+    """Apply the per-row rules of ``read_data_csv`` to ``(line_no, cells)`` rows.
 
-    Any row containing a missing, non-numeric or non-finite cell is dropped;
-    the count of dropped rows is returned alongside the matrix.  A row with
-    the wrong number of fields is a parse error, not a droppable row.
+    Returns the positions in ``rows`` of the kept rows, their values and
+    the number of dropped rows.
     """
-    rows = _read_csv_rows(path)
-    _, header = rows[0]
-    labels = tuple(header)
-    n = len(labels)
+    positions: list[int] = []
     kept: list[list[float]] = []
     dropped = 0
-    for line_no, row in rows[1:]:
-        if len(row) != n:
-            raise ParseError(f"{path}: line {line_no}: expected {n} fields, got {len(row)}")
-        values: list[float] = []
-        usable = True
-        for cell in row:
-            try:
-                value = float(cell)
-            except ValueError:
-                usable = False
-                break
-            if not np.isfinite(value):
-                usable = False
-                break
-            values.append(value)
-        if usable:
+    for position, (line_no, cells) in enumerate(rows):
+        if not any(cells):
+            continue
+        if len(cells) != n:
+            raise ParseError(f"{path}: line {line_no}: expected {n} fields, got {len(cells)}")
+        try:
+            values = [float(cell) for cell in cells]
+        except ValueError:
+            dropped += 1
+            continue
+        if all(map(math.isfinite, values)):
+            positions.append(position)
             kept.append(values)
         else:
             dropped += 1
-    if len(kept) < 2:
+    return positions, kept, dropped
+
+
+_LF, _CR, _COMMA = b"\n\r,"
+# bytes a plain line may not hold: all but number characters, commas and line breaks
+_NON_PLAIN = np.ones(256, dtype=bool)
+_NON_PLAIN[list(b"0123456789.+-eE,\r\n")] = False
+_FIELD_EDGE = np.zeros(256, dtype=bool)
+_FIELD_EDGE[[_LF, _CR, _COMMA]] = True
+
+
+def _parse_lines(path, buf: np.ndarray) -> tuple[tuple[str, ...], np.ndarray, int]:
+    """Read a file free of quotes, NUL bytes and bare carriage returns.
+
+    ``buf`` holds the file's bytes between two added line feeds.  Each
+    line is then a csv record, so one byte scan classifies them all: a
+    line is plain when it holds only number characters and commas, has
+    n - 1 commas and no empty field.  Plain lines are parsed in one
+    ``np.loadtxt`` call; every other line goes through ``_parse_rows``.
+    """
+    breaks = np.flatnonzero(buf == _LF)
+    starts = breaks[:-1] + 1
+    stops = breaks[1:]
+    stops = stops - (buf[stops - 1] == _CR)
+
+    def cells(line: int) -> list[str]:
+        text = buf[starts[line] : stops[line]].tobytes().decode()
+        return [cell.strip() for cell in text.split(",")]
+
+    for first in range(starts.size):
+        labels = tuple(cells(first))
+        if any(labels):
+            break
+    else:
+        raise ParseError(f"{path}: file is empty")
+    n = len(labels)
+
+    bad = _NON_PLAIN.take(buf)
+    commas = np.flatnonzero(buf == _COMMA)
+    # a comma beside a line break or another comma borders an empty field
+    bad[commas[_FIELD_EDGE[buf[commas - 1]] | _FIELD_EDGE[buf[commas + 1]]]] = True
+
+    def per_line(positions: np.ndarray) -> np.ndarray:
+        return np.searchsorted(positions, stops) - np.searchsorted(positions, starts)
+
+    plain = (per_line(np.flatnonzero(bad)) == 0) & (per_line(commas) == n - 1) & (stops > starts)
+    plain[: first + 1] = False
+    plain_lines = np.flatnonzero(plain)
+    block = np.empty((0, n))
+    if plain_lines.size:
+        keep = np.zeros(buf.size, dtype=bool)
+        keep[1:] = np.repeat(plain, np.diff(breaks))
+        try:
+            block = np.loadtxt(
+                io.StringIO(buf[keep].tobytes().decode("ascii")),
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+            ).reshape(-1, n)
+        except ValueError:  # a cell such as "1-2" or "e": parse every line by row
+            plain[:] = False
+            plain_lines = plain_lines[:0]
+    loose = np.flatnonzero(~plain[first + 1 :]) + first + 1
+    positions, kept, dropped = _parse_rows(path, [(i + 1, cells(i)) for i in loose], n)
+    finite = np.isfinite(block).all(axis=1)
+    order = np.concatenate((plain_lines[finite], loose[positions]))
+    values = np.concatenate((block[finite], np.array(kept).reshape(-1, n)))
+    return labels, values[np.argsort(order)], dropped + int(np.count_nonzero(~finite))
+
+
+def read_data_csv(path) -> tuple[DataMatrix, int]:
+    """Read a raw observation CSV: a header of labels, then numeric rows.
+
+    Cells are stripped and blank rows skipped; the first row left is the
+    header.  A cell is a number when ``float()`` accepts it.  Any row
+    containing a missing, non-numeric or non-finite cell is dropped; the
+    count of dropped rows is returned alongside the matrix.  A row with
+    the wrong number of fields is a parse error, not a droppable row.
+    """
+    raw, text = _read_text(path)
+    buf = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+    bare_cr = np.any(buf[np.flatnonzero(buf == _CR) + 1] != _LF)
+    if b'"' in raw or b"\0" in raw or bare_cr:
+        # quoted fields may span lines, and csv has its own rules for NUL
+        # bytes and bare carriage returns: let csv split the records
+        rows = _csv_rows(path, text)
+        labels = tuple(rows[0][1])
+        _, kept, dropped = _parse_rows(path, rows[1:], len(labels))
+        values = np.array(kept).reshape(-1, len(labels))
+    else:
+        labels, values, dropped = _parse_lines(path, buf)
+    if len(values) < 2:
         raise SizeError(
-            f"{path}: only {len(kept)} usable rows remain after dropping {dropped}"
+            f"{path}: only {len(values)} usable rows remain after dropping {dropped}"
         )
-    return DataMatrix(np.array(kept), labels), dropped
+    return DataMatrix(values, labels), dropped
 
 
 def read_correlation_csv(path) -> CorrelationMatrix:
@@ -196,7 +298,7 @@ def read_correlation_csv(path) -> CorrelationMatrix:
     averaging; the diagonal must be within 1e-6 of 1 and is then forced to
     exactly 1.
     """
-    rows = _read_csv_rows(path)
+    rows = _csv_rows(path, _read_text(path)[1])
     _, header = rows[0]
     if len(header) < 2:
         raise ParseError(f"{path}: header must hold a corner cell and the labels")
@@ -310,14 +412,15 @@ def cumulative_table(loadings: LoadingMatrix) -> ReportTable:
     return ReportTable(header, rows)
 
 
-def run_report(config: RunConfig) -> dict[str, ReportTable]:
+def run_report(config: RunConfig) -> ReportBundle:
     """Produce the full report bundle and write it into the output directory.
 
-    Returns the bundle keyed by table name.  The scree series is written as
+    Returns the bundle keyed by table name, carrying the number of input
+    rows dropped for missing values.  The scree series is written as
     ``scree.txt``/``scree.svg`` next to the tables.
     """
     result = ingest(config.input_path, config.input_kind)
-    bundle: dict[str, ReportTable] = {}
+    bundle = ReportBundle(result.dropped_rows)
     if isinstance(result.data, DataMatrix):
         data = result.data
         bundle["summary_statistics"] = summary_table(data)

@@ -126,16 +126,22 @@ def summarize(column) -> VariableStats:
 
     The mode is the most frequent exact value; ties are broken towards the
     smallest value.  The median of an even-length column is the midpoint of
-    the two central values.
+    the two central values.  Median and mode are read from one sorted copy.
     """
     x = _as_column(column, "column")
     mean = float(x.mean())
     std_dev = float(np.sqrt(np.mean((x - mean) ** 2)))
-    uniques, counts = np.unique(x, return_counts=True)
-    mode = float(uniques[np.argmax(counts)])
+    ordered = np.sort(x)
+    m = ordered.size
+    run_starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    run_lengths = np.diff(np.append(run_starts, m))
+    mode = float(ordered[run_starts[np.argmax(run_lengths)]])
+    # the mean of the middle one or two values, as np.median takes it, so that a
+    # zero median gets the same sign
+    median = float(np.mean(ordered[(m - 1) // 2 : m // 2 + 1]))
     return VariableStats(
         mean=mean,
-        median=float(np.median(x)),
+        median=median,
         mode=mode,
         std_dev=std_dev,
         minimum=float(x.min()),

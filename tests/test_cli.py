@@ -50,6 +50,21 @@ def test_summary_reports_dropped_rows(tmp_path, capsys):
     assert "dropped 1 row(s)" in capsys.readouterr().out
 
 
+def test_report_prints_dropped_rows(tmp_path, capsys):
+    path = tmp_path / "raw.csv"
+    path.write_text(RAW_SAMPLE + "NA,1,1\n", encoding="utf-8")
+    assert main(["report", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "dropped 1 row(s) with missing values" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["fa", "simulate"])
+def test_factor_count_below_one_is_rejected(tmp_path, capsys, command):
+    assert main([command, "--corr", FIXTURE, "--factors", "0", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"facpca {command}: factor count override must be at least 1" in captured.err
+
+
 def test_corr_subcommand(raw_csv, capsys):
     assert main(["corr", "--input", raw_csv]) == 0
     printed = capsys.readouterr().out

@@ -1,0 +1,158 @@
+"""Differential tests of the vectorized raw-CSV reader against the cell-by-cell oracle."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import csv_oracle
+from facpca import ParseError, SizeError
+from facpca.cli import main
+from facpca.reporting import read_correlation_csv, read_data_csv
+from facpca.stats import summarize
+
+NUMBERS = st.one_of(
+    st.integers(-10_000, 10_000).map(str),
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.sampled_from(["1e5", "-2E-4", "+3.5e+2", ".5", "5.", "-0", "+0.0", "1e-400", "007"]),
+)
+ODD_CELLS = st.sampled_from(
+    ["1_000", " 3.5 ", "\t-2 ", "", "  ", "NA", "inf", "-inf", "nan", "1e999", "x", "1-2", "e", "."]
+)
+QUOTED_CELLS = st.sampled_from(['"1.5"', '" 7 "', '"1,5"', '"2\n3"', '"NA"', '""'])
+
+
+@st.composite
+def raw_files(draw):
+    """Bytes of a raw CSV mixing plain rows with every case the reader must treat like the oracle."""
+    n = draw(st.integers(1, 4))
+    quoted = draw(st.booleans())
+    cell = st.one_of(NUMBERS, NUMBERS, NUMBERS, ODD_CELLS, *([QUOTED_CELLS] if quoted else []))
+    plain_row = st.lists(NUMBERS, min_size=n, max_size=n)
+    any_row = st.lists(cell, min_size=n, max_size=n)
+    blank = st.sampled_from([[], [""] * n, ["", ""], [" "]])
+    row_kinds = [plain_row, plain_row, plain_row, any_row, blank]
+    if draw(st.integers(0, 4)) == 0:
+        row_kinds.append(
+            st.lists(NUMBERS, max_size=n + 2).filter(lambda cells: len(cells) != n)
+        )
+    rows = draw(st.lists(st.one_of(row_kinds), max_size=25))
+    lead = draw(st.lists(blank, max_size=2))
+    header = draw(st.sampled_from([[f"v{j}" for j in range(n)], [str(j) for j in range(n)]]))
+    endings = st.sampled_from(draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r"]])))
+    text = "".join(",".join(cells) + draw(endings) for cells in [*lead, header, *rows])
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.encode("utf-8")
+
+
+def _outcome(reader, path):
+    try:
+        data, dropped = reader(path)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is the outcome
+        return type(exc), str(exc)
+    return data.values.tobytes(), data.values.shape, data.labels, dropped
+
+
+def _assert_same(raw: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_bytes(raw)
+        assert _outcome(read_data_csv, path) == _outcome(csv_oracle.read_data_csv, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_files())
+@example(b"a,b\n1e5,-2E-4\n1_000,2\n 3 , 4 \n5,\nNA,1\ninf,2\nnan,3\n1e999,4\n,,\n\n6,7\n")
+@example(b"a,b\r\n1,2\r\n3,4\r\n\r\n5,6\r\n")
+@example(b"a\r\n1\r\n\r\n2\r\n3\r\n")
+@example(b"1,2\n3,4\n5,6\n")
+@example(b'a,b\n"1",2\n"3\n4",5\n6,7\n8,9\n')
+@example(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+@example(b"a,b\n1,2\n3,4,5\n6,7\n")
+@example(b"a,b\n1,2\r3,4\n5,6\n")
+@example(b"a,b\n1-2,3\n4,5\n6,7\n")
+@example(b"a,b\n1,\x002\n3,4\n5,6\n")
+def test_reader_matches_cell_by_cell_oracle(raw):
+    _assert_same(raw)
+
+
+def test_reader_matches_oracle_on_a_large_file():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(3000, 5)) * [1, 10, 1e3, 1e-3, 1e6]
+    lines = [",".join(f"{v:.{rng.integers(1, 17)}g}" for v in row) for row in values]
+    for i, token in zip(rng.choice(3000, 60, replace=False), ["", "NA", "inf", "1e999", " 2 "] * 12):
+        cells = lines[i].split(",")
+        cells[i % 5] = token
+        lines[i] = ",".join(cells)
+    raw = ("a,b,c,d,e\n" + "\n".join(lines) + "\n").encode()
+    _assert_same(raw)
+    _assert_same(raw.replace(b"\n", b"\r\n"))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"a,b\n1,2\nbad,2\n", b"a,b\n1,2\n", b"a,b\n", b'a,b\n"1",2\nNA,3\n', b"a,b\n1,2\n,\n\n"],
+)
+def test_too_few_usable_rows_is_a_size_error(tmp_path, raw):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(raw)
+    with pytest.raises(SizeError, match="usable rows remain"):
+        read_data_csv(path)
+    _assert_same(raw)
+
+
+@pytest.mark.parametrize("raw", [b"", b"\n\n", b" , \r\n"])
+def test_blank_file_is_a_parse_error(tmp_path, raw):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="file is empty"):
+        read_data_csv(path)
+    _assert_same(raw)
+
+
+@pytest.mark.parametrize("reader", [read_data_csv, read_correlation_csv])
+def test_invalid_utf8_is_a_parse_error(tmp_path, reader):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,b\n1,2\n3,\xff4\n")
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    ("argv", "raw"),
+    [
+        (["summary", "--input"], b"a,b\n1,2\n3,\xff4\n"),
+        (["eigen", "--corr"], b",a,b\na,1,0\nb,0,\xff1\n"),
+    ],
+)
+def test_cli_reports_invalid_utf8(tmp_path, capsys, argv, raw):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    assert main([*argv, str(path)]) == 1
+    assert f"facpca {argv[0]}: {path}: not valid UTF-8" in capsys.readouterr().err
+
+
+def _summary_oracle(x):
+    uniques, counts = np.unique(x, return_counts=True)
+    return np.median(x), uniques[np.argmax(counts)], x.min(), x.max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.5, 1e150, -1e150, 5e-324]),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_summarize_matches_unique_and_median(values):
+    x = np.array(values)
+    stats = summarize(x)
+    got = np.array([stats.median, stats.mode, stats.minimum, stats.maximum])
+    assert got.tobytes() == np.array(_summary_oracle(x), dtype=float).tobytes()
