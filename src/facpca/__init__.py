@@ -1,9 +1,12 @@
 """Principal component and exploratory factor analysis on correlation matrices.
 
 The library covers the shared PCA/FA pipeline (standardization, Pearson
-correlation, Jacobi eigendecomposition, factor loadings, Varimax rotation)
-and a retention rule that keeps adding factors until every variable has
-most of its variance explained.
+correlation, LAPACK eigendecomposition with a defined order for tied
+eigenvalues, factor loadings, Varimax rotation) and a retention rule that
+keeps adding factors until every variable has most of its variance
+explained.  The cyclic Jacobi solver, built from the exposed plane
+rotations, is kept in the tests as the accuracy reference for the
+eigendecomposition.
 """
 
 from .eigen import EigenDecomposition, compose_rotation, eigen_symmetric, plane_rotation

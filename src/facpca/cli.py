@@ -38,7 +38,7 @@ from .reporting import (
 from .reporting import _default_output_dir  # flags override the env default
 from .retention import half_count, kaiser_count, minvar_count, percentage_count, variance_table
 from .stats import CorrelationMatrix, DataMatrix, correlation_matrix, determination_matrix
-from .varimax import varimax
+from .varimax import RotationResult, varimax
 
 
 def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
@@ -128,6 +128,14 @@ def _write_table(table: ReportTable, path: Path) -> None:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(table.header)
         writer.writerows(table.rows)
+
+
+def _warn_if_unconverged(rotation: RotationResult) -> None:
+    if not rotation.converged:
+        print(
+            f"warning: varimax stopped after {rotation.sweeps_used} sweeps without converging",
+            file=sys.stderr,
+        )
 
 
 def _cmd_summary(args) -> int:
@@ -228,6 +236,7 @@ def _cmd_fa(args) -> int:
     _print_table(f"loadings_{k}_factors", loading_table(truncated, with_communality=True))
     if args.rotate == "varimax" and k >= 2:
         rotation = varimax(truncated, normalize=args.kaiser_normalize)
+        _warn_if_unconverged(rotation)
         _print_table(
             f"loadings_{k}_factors_rotated",
             loading_table(rotation.rotated, with_communality=True),
@@ -275,6 +284,8 @@ def _cmd_report(args) -> int:
     bundle = run_report(config)
     if bundle.dropped_rows:
         print(f"dropped {bundle.dropped_rows} row(s) with missing values")
+    if bundle.rotation is not None:
+        _warn_if_unconverged(bundle.rotation)
     chosen = [row for row in bundle["criteria_comparison"].rows if row[0].startswith("min_variance")]
     print(f"wrote {len(bundle)} tables and the scree plot to {config.output_dir}")
     if chosen:

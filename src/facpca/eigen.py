@@ -1,9 +1,12 @@
-"""Symmetric eigendecomposition via cyclic plane (Jacobi) rotations.
+"""Symmetric eigendecomposition, plus the plane rotations of the Jacobi method.
 
-The solver repeatedly zeroes the off-diagonal entry with a two-sided plane
-rotation while accumulating the product of all rotations, which converges
-to the eigenvector matrix.  Rotation accumulation touches only the two
-affected columns, so each plane costs O(n).
+``eigen_symmetric`` runs LAPACK's symmetric solver (``numpy.linalg.eigh``)
+and puts its result in one defined form: eigenvalues sorted non-increasing,
+exactly equal eigenvalues ordered by the row index of their eigenvector's
+largest-magnitude entry, and each column signed so that entry is
+non-negative.  The cyclic Jacobi solver built from ``plane_rotation`` and
+``compose_rotation`` is kept in the tests as the accuracy reference the
+LAPACK engine is checked against.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ __all__ = [
     "eigen_symmetric",
 ]
 
-ROTATION_SKIP = 1e-13  # off-diagonal entries at or below this are left alone
-CONVERGENCE_TOL = 1e-12  # sweeps stop once max |off-diagonal| drops below this
-MAX_SWEEPS = 100
 PSD_TOL = 1e-10  # eigenvalues of a correlation matrix may undershoot 0 by this
 
 
@@ -39,6 +39,8 @@ class EigenDecomposition:
 
     Column ``j`` of ``eigenvectors`` pairs with ``eigenvalues[j]``.  Each
     column is normalized so its entry of largest magnitude is non-negative.
+    ``eigen_symmetric`` orders columns with exactly equal eigenvalues by the
+    row index of that entry.
     """
 
     eigenvalues: np.ndarray
@@ -107,57 +109,13 @@ def compose_rotation(accumulated: np.ndarray, i: int, j: int, angle: float) -> n
     return acc
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Run cyclic Jacobi sweeps on a symmetric matrix, in place.
-
-    Returns the final diagonal, the accumulated rotation matrix and the
-    off-diagonal Frobenius norm recorded before each sweep (which must
-    decrease monotonically).
-    """
-    n = a.shape[0]
-    vectors = np.eye(n)
-    history: list[float] = []
-    if n == 1:
-        return np.diag(a).copy(), vectors, history
-    for _ in range(MAX_SWEEPS):
-        strict_upper = np.triu(a, 1)
-        history.append(math.sqrt(2.0 * float(np.sum(strict_upper**2))))
-        if float(np.max(np.abs(strict_upper))) < CONVERGENCE_TOL:
-            return np.diag(a).copy(), vectors, history
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = a[i, j]
-                if abs(aij) <= ROTATION_SKIP:
-                    continue
-                # smaller-angle root of  t^2 + 2*tau*t - 1 = 0  zeroes a[i, j]
-                tau = (a[j, j] - a[i, i]) / (2.0 * aij)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # two-sided update: columns first, then rows
-                _apply_plane_inplace(a, i, j, c, s)
-                row_i = c * a[i, :] - s * a[j, :]
-                row_j = s * a[i, :] + c * a[j, :]
-                a[i, :] = row_i
-                a[j, :] = row_j
-                a[i, j] = a[j, i] = 0.0
-                _apply_plane_inplace(vectors, i, j, c, s)
-    raise ConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps")
-
-
-def _normalize_column_signs(vectors: np.ndarray) -> np.ndarray:
-    for j in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[lead, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
-    return vectors
-
-
 def eigen_symmetric(matrix, *, correlation_input: bool = False) -> EigenDecomposition:
     """Decompose a symmetric matrix into sorted eigenvalues and eigenvectors.
+
+    The decomposition is LAPACK's (``numpy.linalg.eigh``); a failure to
+    converge raises ``ConvergenceError``.  Columns with exactly equal
+    eigenvalues are ordered by the row index of their largest-magnitude
+    entry, and every column is signed so that entry is non-negative.
 
     Parameters
     ----------
@@ -170,17 +128,17 @@ def eigen_symmetric(matrix, *, correlation_input: bool = False) -> EigenDecompos
         ``NotPositiveSemidefiniteError``.
     """
     a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError("input must be a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ShapeError("input must be a non-empty square matrix")
     if not np.all(np.isfinite(a)):
         raise ShapeError("input contains non-finite values")
     if np.max(np.abs(a - a.T), initial=0.0) >= 1e-10:
         raise ShapeError("input matrix is not symmetric")
     a = (a + a.T) / 2.0
-    diagonal, vectors, _ = _jacobi(a)
-    order = np.argsort(-diagonal, kind="stable")
-    eigenvalues = diagonal[order]
-    vectors = vectors[:, order]
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     if correlation_input:
         if np.any(eigenvalues < -PSD_TOL):
             worst = float(eigenvalues.min())
@@ -188,5 +146,10 @@ def eigen_symmetric(matrix, *, correlation_input: bool = False) -> EigenDecompos
                 f"correlation matrix has eigenvalue {worst:.3e} < -{PSD_TOL:.0e}"
             )
         eigenvalues = np.maximum(eigenvalues, 0.0)
-    vectors = _normalize_column_signs(vectors)
+    lead = np.argmax(np.abs(vectors), axis=0)
+    order = np.lexsort((lead, -eigenvalues))
+    eigenvalues = eigenvalues[order]
+    vectors = vectors[:, order]
+    lead = lead[order]
+    vectors[:, vectors[lead, np.arange(lead.size)] < 0.0] *= -1.0
     return EigenDecomposition(eigenvalues, vectors)

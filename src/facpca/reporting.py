@@ -13,6 +13,7 @@ fixed number formatting, fixed table order, no timestamps.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -47,7 +48,7 @@ from .stats import (
     determination_matrix,
     summarize,
 )
-from .varimax import varimax
+from .varimax import RotationResult, varimax
 
 __all__ = [
     "RAW_CSV",
@@ -129,11 +130,15 @@ class ReportTable:
 
 
 class ReportBundle(dict):
-    """The report's tables keyed by name, plus the rows the ingest dropped."""
+    """The report's tables keyed by name, plus the rows the ingest dropped.
+
+    ``rotation`` is the Varimax result, or None when no rotation ran.
+    """
 
     def __init__(self, dropped_rows: int = 0) -> None:
         super().__init__()
         self.dropped_rows = dropped_rows
+        self.rotation: RotationResult | None = None
 
 
 def format_number(value) -> str:
@@ -145,15 +150,16 @@ def format_pct(fraction) -> str:
 
 
 def _read_text(path) -> tuple[bytes, str]:
-    """The file's bytes and their UTF-8 text."""
+    """The file's bytes and their UTF-8 text, without a leading byte-order mark."""
     try:
         raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None
     try:
-        return raw, raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+    return raw.removeprefix(codecs.BOM_UTF8), text.removeprefix("\ufeff")
 
 
 def _csv_rows(path, text: str) -> list[tuple[int, list[str]]]:
@@ -416,8 +422,8 @@ def run_report(config: RunConfig) -> ReportBundle:
     """Produce the full report bundle and write it into the output directory.
 
     Returns the bundle keyed by table name, carrying the number of input
-    rows dropped for missing values.  The scree series is written as
-    ``scree.txt``/``scree.svg`` next to the tables.
+    rows dropped for missing values and the Varimax result.  The scree
+    series is written as ``scree.txt``/``scree.svg`` next to the tables.
     """
     result = ingest(config.input_path, config.input_kind)
     bundle = ReportBundle(result.dropped_rows)
@@ -485,6 +491,7 @@ def run_report(config: RunConfig) -> ReportBundle:
     bundle["common_variances_truncated"] = common_variance_table(truncated)
     if config.rotate == "varimax" and k >= 2:
         rotation = varimax(truncated, normalize=config.kaiser_normalize)
+        bundle.rotation = rotation
         bundle["loadings_rotated"] = loading_table(
             rotation.rotated, with_communality=True
         )

@@ -132,24 +132,18 @@ def minvar_count(eig: EigenDecomposition, epsilon: float = 0.51) -> RetentionRep
     eigenvalues = np.maximum(eigenvalues, 0.0)
     loadings = eig.eigenvectors * np.sqrt(eigenvalues)
     n = eig.size
-    explained = np.zeros(n)
-    eig_pct: list[float] = []
-    min_var: list[float] = []
-    aver_var: list[float] = []
-    nr_min_var: list[int] = []
-    for i in range(n):
-        explained += loadings[:, i] ** 2
-        worst = 1.0
-        worst_index = 0
-        for j in range(n):
-            # strict "<" keeps the earliest variable on ties
-            if explained[j] < worst:
-                worst_index = j + 1
-                worst = explained[j]
-        eig_pct.append(eigenvalues[i] / n)
-        min_var.append(worst)
-        aver_var.append(float(explained.mean()))
-        nr_min_var.append(worst_index)
+    # row i: each variable's explained variance with the first i + 1 factors,
+    # in contiguous rows so each row's mean sums like a one-dimensional array
+    explained = np.cumsum((loadings**2).T.copy(), axis=0)
+    lowest = explained.argmin(axis=1)
+    lowest_value = explained[np.arange(n), lowest]
+    # seeded at 1: a prefix with no variable strictly below 1 reports (1.0, 0);
+    # argmin keeps the earliest variable on ties
+    below = lowest_value < 1.0
+    min_var = np.where(below, lowest_value, 1.0).tolist()
+    nr_min_var = np.where(below, lowest + 1, 0).tolist()
+    eig_pct = (eigenvalues / n).tolist()
+    aver_var = explained.mean(axis=1).tolist()
     # rounding can leave min_var[n-1] at 1 - ulp, so cap the answer at n
     chosen = next((i + 1 for i, value in enumerate(min_var) if value >= epsilon), n)
     return RetentionReport(

@@ -130,7 +130,12 @@ def summarize(column) -> VariableStats:
     """
     x = _as_column(column, "column")
     mean = float(x.mean())
-    std_dev = float(np.sqrt(np.mean((x - mean) ** 2)))
+    deviations = x - mean
+    # scaled to at most 1 in magnitude, so squaring cannot overflow or underflow
+    scale = float(np.max(np.abs(deviations)))
+    if scale > 0.0:
+        deviations /= scale
+    std_dev = scale * float(np.sqrt(np.mean(deviations**2)))
     ordered = np.sort(x)
     m = ordered.size
     run_starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))

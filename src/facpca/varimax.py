@@ -58,7 +58,7 @@ def _entries(loadings) -> np.ndarray:
 
 def _column_objective(column: np.ndarray, n_rows: int) -> float:
     squares = column**2
-    return n_rows * float(np.sum(squares**2)) - float(np.sum(squares)) ** 2
+    return n_rows * float((squares**2).sum()) - float(squares.sum()) ** 2
 
 
 def varimax_objective(loadings) -> float:
@@ -88,12 +88,17 @@ def optimal_plane_angle(x, y) -> float | None:
     n = xs.size
     if n < 2:
         raise SizeError(f"need at least 2 points per plane, got {n}")
+    return _plane_angle(xs, ys, n)
+
+
+def _plane_angle(xs: np.ndarray, ys: np.ndarray, n: int) -> float | None:
+    """``optimal_plane_angle`` on float arrays of length ``n`` >= 2, unchecked."""
     u = xs**2 - ys**2
     v = 2.0 * xs * ys
-    numerator = 2.0 * (n * float(np.sum(u * v)) - float(np.sum(u)) * float(np.sum(v)))
-    denominator = n * float(np.sum(u**2 - v**2)) - (
-        float(np.sum(u)) ** 2 - float(np.sum(v)) ** 2
-    )
+    sum_u = float(u.sum())
+    sum_v = float(v.sum())
+    numerator = 2.0 * (n * float((u * v).sum()) - sum_u * sum_v)
+    denominator = n * float((u**2 - v**2).sum()) - (sum_u**2 - sum_v**2)
     if abs(numerator) < ANGLE_EPS and abs(denominator) < ANGLE_EPS:
         return None
     # atan2 places 4*phi in the quadrant dictated by the two signs
@@ -130,35 +135,47 @@ def varimax(
     active = row_norms > 0.0
     if normalize:
         working[active] /= row_norms[active, None]
-    rotation = np.eye(k)
-    objective = varimax_objective(working)
+    n_active = int(np.count_nonzero(active))
+    if max_sweeps > 0 and n_active < 2:
+        raise SizeError(f"need at least 2 points per plane, got {n_active}")
+    # factor j is row j of `columns` and of `turns` (the rotation's column j),
+    # so each plane reads and writes contiguous rows
+    columns = working.T.copy()
+    turns = np.eye(k)
+    objectives = [_column_objective(columns[j], n) for j in range(k)]
+    objective = sum(objectives)
     trace = [objective]
     converged = False
     sweeps = 0
     for _ in range(max_sweeps):
         for p in range(k - 1):
+            x = columns[p]
             for q in range(p + 1, k):
-                angle = optimal_plane_angle(working[active, p], working[active, q])
+                y = columns[q]
+                if n_active == n:
+                    angle = _plane_angle(x, y, n)
+                else:
+                    angle = _plane_angle(x[active], y[active], n_active)
                 if angle is None:
                     continue
                 c = math.cos(angle)
                 s = math.sin(angle)
-                new_p = c * working[:, p] + s * working[:, q]
-                new_q = -s * working[:, p] + c * working[:, q]
-                before = _column_objective(working[:, p], n) + _column_objective(
-                    working[:, q], n
-                )
-                after = _column_objective(new_p, n) + _column_objective(new_q, n)
-                if after < before:
+                new_p = c * x + s * y
+                new_q = -s * x + c * y
+                after_p = _column_objective(new_p, n)
+                after_q = _column_objective(new_q, n)
+                if after_p + after_q < objectives[p] + objectives[q]:
                     continue
-                working[:, p] = new_p
-                working[:, q] = new_q
-                rot_p = c * rotation[:, p] + s * rotation[:, q]
-                rot_q = -s * rotation[:, p] + c * rotation[:, q]
-                rotation[:, p] = rot_p
-                rotation[:, q] = rot_q
+                columns[p] = new_p
+                columns[q] = new_q
+                objectives[p] = after_p
+                objectives[q] = after_q
+                rot_p = c * turns[p] + s * turns[q]
+                rot_q = -s * turns[p] + c * turns[q]
+                turns[p] = rot_p
+                turns[q] = rot_q
         sweeps += 1
-        new_objective = varimax_objective(working)
+        new_objective = sum(objectives)
         trace.append(new_objective)
         improvement = new_objective - objective
         scale = abs(objective) if objective != 0.0 else 1.0
@@ -166,7 +183,9 @@ def varimax(
         if improvement < tol * scale:
             converged = True
             break
+    working = np.ascontiguousarray(columns.T)
     if normalize:
         working[active] *= row_norms[active, None]
     rotated = LoadingMatrix(working, loadings.variable_labels)
+    rotation = np.ascontiguousarray(turns.T)
     return RotationResult(rotated, rotation, sweeps, tuple(trace), converged)

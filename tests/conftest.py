@@ -48,3 +48,17 @@ def random_correlation_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     a = g @ g.T
     scale = np.sqrt(np.diag(a))
     return a / np.outer(scale, scale)
+
+
+def dense_factor_correlation(seed: int, n: int, factors: int) -> np.ndarray:
+    """Correlation matrix of a dense factor model with communalities in (0.60, 0.84).
+
+    Varimax finds no simple structure in its loadings, so it needs many sweeps.
+    """
+    rng = np.random.default_rng(seed)
+    model = rng.standard_normal((n, factors)) * np.linspace(1.0, 0.4, factors)
+    model *= np.sqrt(rng.uniform(0.60, 0.84, size=n) / np.sum(model**2, axis=1))[:, None]
+    corr = model @ model.T
+    corr = (corr + corr.T) / 2.0
+    np.fill_diagonal(corr, 1.0)
+    return corr

@@ -1,7 +1,9 @@
 """The cell-by-cell raw-CSV reader that ``facpca.reporting.read_data_csv`` replaced.
 
 Kept as the differential oracle for the vectorized reader: every row goes
-through ``csv.reader``, then ``float()`` and ``np.isfinite`` per cell.
+through ``csv.reader``, then ``float()`` and ``np.isfinite`` per cell.  It
+reads with ``utf-8-sig``, so a leading byte-order mark is dropped, as the
+library's readers drop it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from facpca.stats import DataMatrix
 
 def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             raw = list(csv.reader(handle))
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None

@@ -7,6 +7,8 @@ from facpca.cli import main
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import RAW_CSV, ingest
 
+from conftest import dense_factor_correlation
+
 FIXTURE = str(dataset1_corr_path())
 
 RAW_SAMPLE = "a,b,c\n1,1,2\n2,3,3\n2,2,1\n5,4,4\n"
@@ -63,6 +65,22 @@ def test_factor_count_below_one_is_rejected(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"facpca {command}: factor count override must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["report", "fa"])
+def test_unconverged_varimax_is_reported(tmp_path, capsys, command):
+    # 8 factors of a dense 40-variable model: Varimax needs over 100 sweeps
+    corr = dense_factor_correlation(1, 40, 10)
+    labels = [f"v{i}" for i in range(40)]
+    lines = ["," + ",".join(labels)]
+    lines += [label + "," + ",".join(repr(float(v)) for v in row) for label, row in zip(labels, corr)]
+    path = tmp_path / "corr.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    warning = "warning: varimax stopped after 50 sweeps without converging\n"
+    assert main([command, "--corr", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == warning
+    assert main([command, "--corr", FIXTURE, "--out", str(tmp_path / "weather")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_corr_subcommand(raw_csv, capsys):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import jacobi_oracle
 from facpca import (
+    ConvergenceError,
     NotPositiveSemidefiniteError,
     PlaneIndexError,
     ShapeError,
@@ -12,7 +16,6 @@ from facpca import (
     eigen_symmetric,
     plane_rotation,
 )
-from facpca.eigen import _jacobi
 
 from reference_values import REF_EIGENVALUES, WEATHER_CORR
 
@@ -238,7 +241,7 @@ def test_offdiagonal_norm_decreases_across_sweeps():
     rng = np.random.default_rng(8)
     for _ in range(5):
         a = random_symmetric(rng, 8)
-        _, _, history = _jacobi(a.copy())
+        _, _, history = jacobi_oracle._jacobi(a.copy())
         assert len(history) >= 2
         assert all(later < earlier for earlier, later in zip(history, history[1:]))
 
@@ -249,3 +252,90 @@ def test_stable_order_for_equal_eigenvalues():
     eig = eigen_symmetric(a)
     assert_allclose(eig.eigenvalues, [2.0, 2.0, 1.0])
     assert_allclose(np.abs(eig.eigenvectors), np.eye(3), atol=1e-15)
+
+
+def test_lapack_failure_is_a_convergence_error(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigen_symmetric(np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# differential test: the LAPACK engine against the Jacobi oracle
+
+
+def _random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _matrix(kind, rng, n):
+    if kind == "symmetric":
+        return random_symmetric(rng, n), False
+    if kind == "rank_deficient":
+        g = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        a = g @ g.T
+        scale = np.sqrt(np.diag(a))
+        a = a / np.outer(scale, scale)
+        a = (a + a.T) / 2.0
+        np.fill_diagonal(a, 1.0)
+        return a, True
+    # a few distinct eigenvalues, each repeated, in a random basis
+    distinct = rng.choice(np.arange(-3.0, 4.0), size=min(n, 3), replace=False)
+    q = _random_orthogonal(rng, n)
+    a = (q * rng.choice(distinct, size=n)) @ q.T
+    return (a + a.T) / 2.0, False
+
+
+def _clusters(values, gap):
+    """Index ranges of a sorted spectrum split where neighbours differ by more than ``gap``."""
+    cuts = np.flatnonzero(np.abs(np.diff(values)) > gap) + 1
+    return np.split(np.arange(values.size), cuts)
+
+
+def _lead_is_clear(column):
+    magnitudes = np.sort(np.abs(column))
+    return magnitudes.size == 1 or magnitudes[-1] - magnitudes[-2] > 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["symmetric", "rank_deficient", "repeated"]),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_lapack_engine_matches_jacobi_oracle(kind, n, seed):
+    a, correlation_input = _matrix(kind, np.random.default_rng(seed), n)
+    got = eigen_symmetric(a, correlation_input=correlation_input)
+    want = jacobi_oracle.eigen_symmetric(a, correlation_input=correlation_input)
+    values = want.eigenvalues
+    scale = max(1.0, float(np.max(np.abs(values))))
+    assert np.max(np.abs(got.eigenvalues - values)) <= 1e-12 * scale
+    for cluster in _clusters(values, 1e-6):
+        u = got.eigenvectors[:, cluster]
+        v = want.eigenvectors[:, cluster]
+        if cluster.size == 1:
+            # signs agree unless two entries tie for the largest magnitude
+            if _lead_is_clear(v[:, 0]):
+                assert np.max(np.abs(u - v)) <= 1e-9
+            else:
+                assert min(np.max(np.abs(u - v)), np.max(np.abs(u + v))) <= 1e-9
+        else:
+            assert np.max(np.abs(u @ u.T - v @ v.T)) <= 1e-9
+
+
+def test_exactly_equal_eigenvalues_are_ordered_by_leading_row():
+    rng = np.random.default_rng(9)
+    for n in (2, 4, 7, 12):
+        q = _random_orthogonal(rng, n)
+        a = (q * rng.choice([1.0, 2.0, 5.0], size=n)) @ q.T
+        diagonal = np.diag(rng.choice([0.0, 1.0, 3.0], size=n))
+        blocks = np.kron(np.eye(n // 2), np.ones((2, 2)))
+        for m in ((a + a.T) / 2.0, diagonal, blocks):
+            eig = eigen_symmetric(m)
+            lead = np.argmax(np.abs(eig.eigenvectors), axis=0)
+            for cluster in _clusters(eig.eigenvalues, 0.0):
+                assert np.all(np.diff(lead[cluster]) >= 0)

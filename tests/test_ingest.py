@@ -125,6 +125,23 @@ def test_invalid_utf8_is_a_parse_error(tmp_path, reader):
 
 
 @pytest.mark.parametrize(
+    ("reader", "raw"),
+    [
+        (read_data_csv, b"\xef\xbb\xbfa,b\n1,2\n3,5\n"),
+        (read_data_csv, b'\xef\xbb\xbf"a",b\n1,2\n3,5\n'),
+        (read_data_csv, b"\xef\xbb\xbf\na,b\n1,2\n3,5\n"),
+        (read_correlation_csv, b"\xef\xbb\xbf\n,a,b\na,1,0.5\nb,0.5,1\n"),
+    ],
+)
+def test_leading_byte_order_mark_is_dropped(tmp_path, reader, raw):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(raw)
+    result = reader(path)
+    matrix = result[0] if isinstance(result, tuple) else result
+    assert matrix.labels == ("a", "b")
+
+
+@pytest.mark.parametrize(
     ("argv", "raw"),
     [
         (["summary", "--input"], b"a,b\n1,2\n3,\xff4\n"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from facpca import (
@@ -163,6 +165,63 @@ def test_report_is_invariant_to_eigenvector_sign_flips(weather_eig):
 
 def test_chosen_capped_at_n_for_extreme_threshold(weather_eig):
     assert minvar_count(weather_eig, 1.0).chosen <= weather_eig.size
+
+
+def _minvar_loop(eig, epsilon):
+    """The per-prefix scan ``minvar_count`` used before it was vectorized."""
+    eigenvalues = np.maximum(np.asarray(eig.eigenvalues, dtype=float), 0.0)
+    loadings = eig.eigenvectors * np.sqrt(eigenvalues)
+    n = eig.size
+    explained = np.zeros(n)
+    eig_pct, min_var, aver_var, nr_min_var = [], [], [], []
+    for i in range(n):
+        explained += loadings[:, i] ** 2
+        worst = 1.0
+        worst_index = 0
+        for j in range(n):
+            if explained[j] < worst:
+                worst_index = j + 1
+                worst = explained[j]
+        eig_pct.append(eigenvalues[i] / n)
+        min_var.append(worst)
+        aver_var.append(float(explained.mean()))
+        nr_min_var.append(worst_index)
+    chosen = next((i + 1 for i, value in enumerate(min_var) if value >= epsilon), n)
+    return eig_pct, min_var, aver_var, nr_min_var, chosen
+
+
+@st.composite
+def spectra(draw):
+    # n above 8 makes numpy's pairwise summation matter for the row means
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # few distinct magnitudes, so explained shares tie across variables and
+        # land exactly on, above and below 1
+        values = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=n)
+        vectors = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0], size=(n, n))
+    else:
+        values = rng.uniform(0.0, 4.0, size=n)
+        vectors = rng.uniform(-1.0, 1.0, size=(n, n))
+    return EigenDecomposition(np.sort(values)[::-1], vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra(), st.sampled_from([0.51, 0.75, 1.0]))
+@example(EigenDecomposition(np.full(3, 1.0), np.eye(3)), 0.51)  # every share reaches exactly 1
+@example(EigenDecomposition(np.full(3, 2.0), np.eye(3)), 0.51)  # every share above 1
+@example(EigenDecomposition(np.full(2, 0.5), np.full((2, 2), 0.5)), 0.51)  # tied below 1
+def test_minvar_count_matches_the_per_prefix_loop(eig, epsilon):
+    report = minvar_count(eig, epsilon)
+    eig_pct, min_var, aver_var, nr_min_var, chosen = _minvar_loop(eig, epsilon)
+    for got, want in [
+        (report.eig_pct, eig_pct),
+        (report.min_var, min_var),
+        (report.aver_var, aver_var),
+    ]:
+        assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+    assert report.nr_min_var == tuple(nr_min_var)
+    assert report.chosen == chosen
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,22 @@ def test_summarize_mode_tie_takes_smallest():
 
 def test_summarize_even_median_is_midpoint():
     assert summarize([1, 2, 3, 10]).median == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize(
+    ("column", "std_dev"),
+    [
+        ([1e300, -1e300], 1e300),  # squared deviations would overflow
+        ([1e-200, -1e-200], 1e-200),  # squared deviations would underflow to 0
+        ([3e200, 3e200, -3e200, -3e200], 3e200),
+    ],
+)
+def test_summarize_std_dev_of_extreme_magnitudes(column, std_dev):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = summarize(column)
+    assert math.isfinite(stats.std_dev)
+    assert stats.std_dev == pytest.approx(std_dev, rel=1e-15, abs=0.0)
 
 
 def test_summarize_rejects_short_and_nonfinite():

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import varimax_oracle
 
 from facpca import (
     LoadingMatrix,
     SizeError,
+    eigen_symmetric,
     full_loadings,
     optimal_plane_angle,
     truncate,
@@ -14,7 +19,7 @@ from facpca import (
     varimax_objective,
 )
 
-from conftest import permuted_sign_matched_diff
+from conftest import dense_factor_correlation, permuted_sign_matched_diff
 from reference_values import (
     REF_LOADINGS_3F_ROTATED,
     REF_LOADINGS_4F_ROTATED,
@@ -262,3 +267,61 @@ def test_sweep_budget_flags_nonconvergence(weather_loadings):
 def test_varimax_requires_two_factors(weather_loadings):
     with pytest.raises(SizeError):
         varimax(truncate(weather_loadings, 1))
+
+
+# ---------------------------------------------------------------------------
+# the lean sweep against the pairwise loop it replaced
+
+
+def _rotation_outcome(rotate, loadings, **options):
+    try:
+        result = rotate(loadings, **options)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is the outcome
+        return type(exc), str(exc)
+    return (
+        result.rotated.entries.tobytes(),
+        result.rotation.tobytes(),
+        result.objective_trace,
+        result.sweeps_used,
+        result.converged,
+    )
+
+
+def _assert_bit_identical(loadings, **options):
+    assert _rotation_outcome(varimax, loadings, **options) == _rotation_outcome(
+        varimax_oracle.varimax, loadings, **options
+    )
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_sweep_is_bit_identical_to_oracle_on_weather(weather_loadings, k, normalize):
+    _assert_bit_identical(truncate(weather_loadings, k), normalize=normalize)
+
+
+@st.composite
+def loading_matrices(draw):
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(2, min(n, 5)))
+    cells = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * k, max_size=n * k))
+    entries = np.array(cells).reshape(n, k)
+    zero_rows = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    entries[zero_rows] = 0.0
+    return LoadingMatrix(entries, tuple(f"v{i}" for i in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(loading_matrices(), st.booleans(), st.integers(0, 60))
+@example(LoadingMatrix([[0.0, 0.0], [0.8, 0.1], [0.2, 0.7]], ("z", "a", "b")), True, 50)
+@example(LoadingMatrix([[0.0, 0.0], [0.8, 0.1], [0.0, 0.0]], ("z", "a", "y")), True, 50)
+@example(LoadingMatrix(np.zeros((3, 2)), ("x", "y", "z")), False, 50)
+def test_sweep_is_bit_identical_to_oracle(loadings, normalize, max_sweeps):
+    _assert_bit_identical(loadings, normalize=normalize, max_sweeps=max_sweeps)
+
+
+def test_sweep_is_bit_identical_to_oracle_on_a_wide_input():
+    # n = 100, k = 17, as in the benchmark's wide reports
+    eig = eigen_symmetric(dense_factor_correlation(1, 100, 25), correlation_input=True)
+    loadings = truncate(full_loadings(eig, tuple(f"v{i}" for i in range(100))), 17)
+    assert not varimax(loadings).converged  # uses the whole sweep budget
+    _assert_bit_identical(loadings)
