@@ -11,7 +11,6 @@ to stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .reporting import (
     matrix_table,
     run_report,
     summary_table,
+    write_numeric_csv,
 )
 from .reporting import _default_output_dir  # flags override the env default
 from .retention import half_count, kaiser_count, minvar_count, percentage_count, variance_table
@@ -121,13 +121,6 @@ def _print_table(title: str, table: ReportTable) -> None:
     for row in columns:
         print("  ".join(str(cell).ljust(width) for cell, width in zip(row, widths)).rstrip())
     print()
-
-
-def _write_table(table: ReportTable, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(table.header)
-        writer.writerows(table.rows)
 
 
 def _warn_if_unconverged(rotation: RotationResult) -> None:
@@ -248,18 +241,22 @@ def _cmd_fa(args) -> int:
     return 0
 
 
+def _csv_only(args) -> None:
+    if args.format != "csv":
+        raise DataError(
+            f"{args.command} writes CSV only; --format {args.format} is not supported"
+        )
+
+
 def _cmd_pca(args) -> int:
+    _csv_only(args)
     data, dropped = _load_raw(args)
     if dropped:
         print(f"dropped {dropped} row(s) with missing values")
     result = pca_modified(data, args.epsilon)
     out = _out_dir(args)
     k = result.retained
-    scores = ReportTable(
-        [f"PC{j + 1}" for j in range(k)],
-        [[format_number(v) for v in row] for row in result.scores],
-    )
-    _write_table(scores, out / "scores.csv")
+    write_numeric_csv(out / "scores.csv", [f"PC{j + 1}" for j in range(k)], result.scores)
     _print_table("retention", _retention_table(result.report))
     print(f"retained components: {k}")
     print(f"wrote {out / 'scores.csv'}")
@@ -278,7 +275,6 @@ def _cmd_report(args) -> int:
         kaiser_normalize=args.kaiser_normalize,
         output_dir=str(args.out) if args.out is not None else _default_output_dir(),
         output_format=args.format,
-        seed=args.seed,
         percent_threshold=args.percent,
     )
     bundle = run_report(config)
@@ -302,16 +298,14 @@ def _cmd_scree(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _csv_only(args)
     corr, eig = _eigen_of(args)
     loadings = full_loadings(eig, corr.labels)
     k = _factor_count(args, eig)
     model = build_model(truncate(loadings, k))
     drawn = simulate(model, args.draws, args.seed)
     out = _out_dir(args)
-    table = ReportTable(
-        list(drawn.labels), [[format_number(v) for v in row] for row in drawn.values]
-    )
-    _write_table(table, out / "simulated.csv")
+    write_numeric_csv(out / "simulated.csv", drawn.labels, drawn.values)
     print(f"wrote {args.draws} draws from the {k}-factor model to {out / 'simulated.csv'}")
     return 0
 

@@ -64,6 +64,7 @@ __all__ = [
     "emit_scree",
     "format_number",
     "format_pct",
+    "write_numeric_csv",
     "summary_table",
     "matrix_table",
     "loading_table",
@@ -93,7 +94,6 @@ class RunConfig:
     kaiser_normalize: bool = True
     output_dir: str = field(default_factory=_default_output_dir)
     output_format: str = "csv"
-    seed: int | None = None
     percent_threshold: float = 80.0
 
     def __post_init__(self) -> None:
@@ -143,6 +143,26 @@ class ReportBundle(dict):
 
 def format_number(value) -> str:
     return format(float(value), ".12g")
+
+
+# rows formatted per string operation; bounds the text held at once
+CSV_BLOCK_ROWS = 4096
+
+
+def write_numeric_csv(path, labels, values) -> None:
+    """Write a header of labels, then each row of ``values`` with its cells as ``%.12g``.
+
+    The bytes are those of ``format_number`` per cell through ``csv.writer``:
+    ``%`` and ``format()`` print a float with the same routine, and no
+    number needs csv quoting.  Each block of rows is formatted by one ``%``.
+    """
+    values = np.asarray(values, dtype=float)
+    row = ",".join(["%.12g"] * values.shape[1]) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerow(labels)
+        for start in range(0, len(values), CSV_BLOCK_ROWS):
+            block = values[start : start + CSV_BLOCK_ROWS]
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def format_pct(fraction) -> str:
@@ -209,16 +229,42 @@ _FIELD_EDGE = np.zeros(256, dtype=bool)
 _FIELD_EDGE[[_LF, _CR, _COMMA]] = True
 
 
-def _parse_lines(path, buf: np.ndarray) -> tuple[tuple[str, ...], np.ndarray, int]:
-    """Read a file free of quotes, NUL bytes and bare carriage returns.
+def _lines(raw: bytes):
+    """The lines of ``raw``, each with its line feed, decoded one at a time."""
+    start = 0
+    while start < len(raw):
+        stop = raw.find(b"\n", start) + 1 or len(raw)
+        yield raw[start:stop].decode()
+        start = stop
 
-    ``buf`` holds the file's bytes between two added line feeds.  Each
-    line is then a csv record, so one byte scan classifies them all: a
-    line is plain when it holds only number characters and commas, has
-    n - 1 commas and no empty field.  Plain lines are parsed in one
-    ``np.loadtxt`` call; every other line goes through ``_parse_rows``.
+
+def _header(path, raw: bytes) -> tuple[tuple[str, ...], int, int]:
+    """The stripped labels of the first non-blank csv record of ``raw``.
+
+    Also returns the number of lines and of records read up to and
+    including the header; they differ when a quoted label spans lines.
     """
-    breaks = np.flatnonzero(buf == _LF)
+    reader = csv.reader(_lines(raw))
+    for records, row in enumerate(reader, start=1):
+        labels = tuple(cell.strip() for cell in row)
+        if any(labels):
+            return labels, reader.line_num, records
+    raise ParseError(f"{path}: file is empty")
+
+
+def _parse_body(
+    path, buf: np.ndarray, breaks: np.ndarray, n: int, first: int, skew: int
+) -> tuple[np.ndarray, int]:
+    """Read the lines of ``buf`` from line ``first`` on, which hold no quotes.
+
+    ``buf`` holds the file's bytes between two added line feeds, at
+    ``breaks``, and has no NUL bytes or bare carriage returns.  Each line
+    from ``first`` on is then a csv record, numbered ``skew`` less than its
+    line, so one byte scan classifies them all: a line is plain when it
+    holds only number characters and commas, has n - 1 commas and no empty
+    field.  Plain lines are parsed in one ``np.loadtxt`` call; every other
+    line goes through ``_parse_rows``.
+    """
     starts = breaks[:-1] + 1
     stops = breaks[1:]
     stops = stops - (buf[stops - 1] == _CR)
@@ -226,14 +272,6 @@ def _parse_lines(path, buf: np.ndarray) -> tuple[tuple[str, ...], np.ndarray, in
     def cells(line: int) -> list[str]:
         text = buf[starts[line] : stops[line]].tobytes().decode()
         return [cell.strip() for cell in text.split(",")]
-
-    for first in range(starts.size):
-        labels = tuple(cells(first))
-        if any(labels):
-            break
-    else:
-        raise ParseError(f"{path}: file is empty")
-    n = len(labels)
 
     bad = _NON_PLAIN.take(buf)
     commas = np.flatnonzero(buf == _COMMA)
@@ -244,7 +282,7 @@ def _parse_lines(path, buf: np.ndarray) -> tuple[tuple[str, ...], np.ndarray, in
         return np.searchsorted(positions, stops) - np.searchsorted(positions, starts)
 
     plain = (per_line(np.flatnonzero(bad)) == 0) & (per_line(commas) == n - 1) & (stops > starts)
-    plain[: first + 1] = False
+    plain[:first] = False
     plain_lines = np.flatnonzero(plain)
     block = np.empty((0, n))
     if plain_lines.size:
@@ -260,12 +298,12 @@ def _parse_lines(path, buf: np.ndarray) -> tuple[tuple[str, ...], np.ndarray, in
         except ValueError:  # a cell such as "1-2" or "e": parse every line by row
             plain[:] = False
             plain_lines = plain_lines[:0]
-    loose = np.flatnonzero(~plain[first + 1 :]) + first + 1
-    positions, kept, dropped = _parse_rows(path, [(i + 1, cells(i)) for i in loose], n)
+    loose = np.flatnonzero(~plain[first:]) + first
+    positions, kept, dropped = _parse_rows(path, [(i + 1 - skew, cells(i)) for i in loose], n)
     finite = np.isfinite(block).all(axis=1)
     order = np.concatenate((plain_lines[finite], loose[positions]))
     values = np.concatenate((block[finite], np.array(kept).reshape(-1, n)))
-    return labels, values[np.argsort(order)], dropped + int(np.count_nonzero(~finite))
+    return values[np.argsort(order)], dropped + int(np.count_nonzero(~finite))
 
 
 def read_data_csv(path) -> tuple[DataMatrix, int]:
@@ -279,16 +317,21 @@ def read_data_csv(path) -> tuple[DataMatrix, int]:
     """
     raw, text = _read_text(path)
     buf = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+    breaks = np.flatnonzero(buf == _LF)
     bare_cr = np.any(buf[np.flatnonzero(buf == _CR) + 1] != _LF)
-    if b'"' in raw or b"\0" in raw or bare_cr:
-        # quoted fields may span lines, and csv has its own rules for NUL
-        # bytes and bare carriage returns: let csv split the records
+    # csv has its own rules for NUL bytes and bare carriage returns
+    scan = not (b"\0" in raw or bare_cr)
+    if scan:
+        labels, lines, records = _header(path, raw)
+        # quoted fields may span lines: scan only a body free of quotes
+        scan = raw.rfind(b'"') + 1 < breaks[lines]
+    if scan:
+        values, dropped = _parse_body(path, buf, breaks, len(labels), lines, lines - records)
+    else:
         rows = _csv_rows(path, text)
         labels = tuple(rows[0][1])
         _, kept, dropped = _parse_rows(path, rows[1:], len(labels))
         values = np.array(kept).reshape(-1, len(labels))
-    else:
-        labels, values, dropped = _parse_lines(path, buf)
     if len(values) < 2:
         raise SizeError(
             f"{path}: only {len(values)} usable rows remain after dropping {dropped}"

@@ -129,7 +129,12 @@ def summarize(column) -> VariableStats:
     the two central values.  Median and mode are read from one sorted copy.
     """
     x = _as_column(column, "column")
-    mean = float(x.mean())
+    with np.errstate(over="ignore"):
+        mean = float(x.mean())
+    if not math.isfinite(mean):
+        # the sum of finite values overflowed: average them scaled to at most 1
+        top = float(np.max(np.abs(x)))
+        mean = top * float(np.mean(x / top))
     deviations = x - mean
     # scaled to at most 1 in magnitude, so squaring cannot overflow or underflow
     scale = float(np.max(np.abs(deviations)))

@@ -3,10 +3,12 @@ import sys
 
 import pytest
 
+import facpca.cli
 from facpca.cli import main
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import RAW_CSV, ingest
 
+import numeric_csv_oracle
 from conftest import dense_factor_correlation
 
 FIXTURE = str(dataset1_corr_path())
@@ -152,6 +154,40 @@ def test_simulate_is_deterministic(tmp_path):
     assert (tmp_path / "one" / "simulated.csv").read_bytes() == (
         tmp_path / "two" / "simulated.csv"
     ).read_bytes()
+
+
+def _matches_cell_writer(tmp_path, monkeypatch, argv, name) -> bool:
+    assert main([*argv, "--out", str(tmp_path / "block")]) == 0
+    monkeypatch.setattr(facpca.cli, "write_numeric_csv", numeric_csv_oracle.write_numeric_csv)
+    assert main([*argv, "--out", str(tmp_path / "cells")]) == 0
+    return (tmp_path / "block" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_simulated_csv_matches_cell_writer(tmp_path, monkeypatch, seed):
+    argv = ["simulate", "--corr", FIXTURE, "--draws", "50000", "--seed", seed]
+    assert _matches_cell_writer(tmp_path, monkeypatch, argv, "simulated.csv")
+
+
+def test_scores_csv_matches_cell_writer(tmp_path, monkeypatch):
+    sample = tmp_path / "sample"
+    assert main(["simulate", "--corr", FIXTURE, "--draws", "5000", "--seed", "3",
+                 "--out", str(sample)]) == 0
+    argv = ["pca", "--input", str(sample / "simulated.csv")]
+    assert _matches_cell_writer(tmp_path, monkeypatch, argv, "scores.csv")
+
+
+@pytest.mark.parametrize("command", ["simulate", "pca"])
+def test_csv_only_subcommands_reject_json(tmp_path, capsys, raw_csv, command):
+    source = ["--corr", FIXTURE] if command == "simulate" else ["--input", raw_csv]
+    out = tmp_path / "out"
+    assert main([command, *source, "--format", "json", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"facpca {command}: {command} writes CSV only; --format json is not supported\n"
+    )
+    assert not out.exists()
 
 
 def test_missing_input_fails_with_stderr(capsys):

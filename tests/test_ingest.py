@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
-from facpca import ParseError, SizeError
+from facpca import ParseError, SizeError, reporting
 from facpca.cli import main
 from facpca.reporting import read_correlation_csv, read_data_csv
 from facpca.stats import summarize
@@ -23,6 +23,10 @@ ODD_CELLS = st.sampled_from(
     ["1_000", " 3.5 ", "\t-2 ", "", "  ", "NA", "inf", "-inf", "nan", "1e999", "x", "1-2", "e", "."]
 )
 QUOTED_CELLS = st.sampled_from(['"1.5"', '" 7 "', '"1,5"', '"2\n3"', '"NA"', '""'])
+# a label quoted as it is, padded, with a comma, a line break or a doubled quote
+QUOTED_LABELS = st.sampled_from(
+    ['"{}"', '" {} "', '"{},x"', '"{}\ny"', '"{}\r\ny"', '"{}""q"', "{}"]
+)
 
 
 @st.composite
@@ -42,6 +46,9 @@ def raw_files(draw):
     rows = draw(st.lists(st.one_of(row_kinds), max_size=25))
     lead = draw(st.lists(blank, max_size=2))
     header = draw(st.sampled_from([[f"v{j}" for j in range(n)], [str(j) for j in range(n)]]))
+    if draw(st.booleans()):
+        header = [draw(QUOTED_LABELS).format(label) for label in header]
+        lead = draw(st.lists(st.sampled_from([['""'], ['" "', ""], [""]]), max_size=2))
     endings = st.sampled_from(draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r"]])))
     text = "".join(",".join(cells) + draw(endings) for cells in [*lead, header, *rows])
     if draw(st.booleans()):
@@ -78,8 +85,27 @@ def _assert_same(raw: bytes) -> None:
 @example(b"a,b\n1,2\r3,4\n5,6\n")
 @example(b"a,b\n1-2,3\n4,5\n6,7\n")
 @example(b"a,b\n1,\x002\n3,4\n5,6\n")
+@example(b'"a","b"\n1,2\nNA,3\n4,5\n')
+@example(b'"a",b\n1,2\n"3",4\n5,6\n')
+@example(b'"a\nb",c\n1,2\nx,3\n3,4,5\n')
+@example(b'""\n\n" a ","b"\r\n1,2\r\n3,4\r\n')
+@example(b'"a,b\n1,2\n3,4\n')
 def test_reader_matches_cell_by_cell_oracle(raw):
     _assert_same(raw)
+
+
+def test_quoted_header_keeps_the_byte_scan(monkeypatch):
+    def no_csv_records(path, text):
+        raise AssertionError("the body went through csv")
+
+    monkeypatch.setattr(reporting, "_csv_rows", no_csv_records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_bytes(b'"a\nb"," c ",""""\n1,2,3\n4,5,6\nNA,7,8\n')
+        data, dropped = read_data_csv(path)
+    assert data.labels == ("a\nb", "c", '"')
+    assert data.values.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert dropped == 1
 
 
 def test_reader_matches_oracle_on_a_large_file():
@@ -93,6 +119,7 @@ def test_reader_matches_oracle_on_a_large_file():
     raw = ("a,b,c,d,e\n" + "\n".join(lines) + "\n").encode()
     _assert_same(raw)
     _assert_same(raw.replace(b"\n", b"\r\n"))
+    _assert_same(raw.replace(b"a,b,", b'"a","b\nb",', 1))
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,19 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from facpca import DataError, ParseError, SizeError, ThresholdError
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import (
     CORRELATION_CSV,
+    CSV_BLOCK_ROWS,
     RAW_CSV,
     RunConfig,
     emit_scree,
@@ -15,9 +21,11 @@ from facpca.reporting import (
     read_correlation_csv,
     read_data_csv,
     run_report,
+    write_numeric_csv,
 )
 from facpca.stats import CorrelationMatrix, DataMatrix
 
+import numeric_csv_oracle
 from conftest import permuted_sign_matched_diff
 from reference_values import (
     REF_EIGENVALUES,
@@ -126,6 +134,54 @@ def test_correlation_csv_rounds_diagonal_to_one(tmp_path):
     path = _write(tmp_path / "corr.csv", ",a,b\na,0.9999999,0.5\nb,0.5,1\n")
     corr = read_correlation_csv(path)
     assert corr.entries[0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# numeric CSV writer
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, 1e-5, 0.1, 1e16,
+    123456789012.5, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+    math.nan,
+]
+QUOTED_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rx", " ", "", "\u00e9"]
+BLOCK = CSV_BLOCK_ROWS
+BLOCK_EDGES = [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]
+
+
+def _written_by_both(labels, values) -> tuple[bytes, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, oracle = Path(tmp) / "block.csv", Path(tmp) / "cells.csv"
+        write_numeric_csv(ours, labels, values)
+        numeric_csv_oracle.write_numeric_csv(oracle, labels, values)
+        return ours.read_bytes(), oracle.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.sampled_from(BLOCK_EDGES),
+    columns=st.integers(1, 5),
+    data=st.data(),
+)
+def test_block_writer_matches_cell_by_cell_oracle(rows, columns, data):
+    labels = data.draw(
+        st.lists(st.one_of(st.text(max_size=4), st.sampled_from(QUOTED_LABELS)),
+                 min_size=columns, max_size=columns)
+    )
+    cells = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL_FLOATS))
+    pool = np.array(data.draw(st.lists(cells, min_size=1, max_size=40)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).choice(pool, size=(rows, columns))
+    ours, oracle = _written_by_both(labels, values)
+    assert ours == oracle
+
+
+@pytest.mark.parametrize("rows", BLOCK_EDGES)
+def test_block_writer_matches_oracle_on_special_values(rows):
+    values = np.resize(np.array(SPECIAL_FLOATS), (rows, 4))
+    ours, oracle = _written_by_both(QUOTED_LABELS[:4], values)
+    assert ours == oracle
+    assert ours.count(b"\n") == rows + 2  # one label holds a line feed
 
 
 # ---------------------------------------------------------------------------

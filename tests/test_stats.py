@@ -76,6 +76,32 @@ def test_summarize_std_dev_of_extreme_magnitudes(column, std_dev):
     assert stats.std_dev == pytest.approx(std_dev, rel=1e-15, abs=0.0)
 
 
+def test_summarize_mean_of_an_overflowing_sum():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = summarize([1.5e308, 1.5e308, 1.0])
+    assert stats.mean == pytest.approx(1e308, rel=1e-15, abs=0.0)
+    assert stats.std_dev == pytest.approx(math.sqrt(0.5) * 1e308, rel=1e-15, abs=0.0)
+
+
+def _summary_moments_before_overflow_guard(x):
+    mean = float(x.mean())
+    deviations = x - mean
+    scale = float(np.max(np.abs(deviations)))
+    if scale > 0.0:
+        deviations /= scale
+    return mean, scale * float(np.sqrt(np.mean(deviations**2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=60))
+def test_summarize_moments_unchanged_when_the_sum_is_finite(values):
+    x = np.array(values)
+    stats = summarize(x)
+    got = np.array([stats.mean, stats.std_dev])
+    assert got.tobytes() == np.array(_summary_moments_before_overflow_guard(x)).tobytes()
+
+
 def test_summarize_rejects_short_and_nonfinite():
     with pytest.raises(SizeError):
         summarize([1.0])
