@@ -1,14 +1,15 @@
-"""CSV ingestion, report generation and scree emission.
+"""CSV ingestion, the analysis core, report generation and scree emission.
 
-The report mirrors the reference table set: summary statistics, correlation
+The report and every CLI subcommand render from one ``Analysis``.  The
+report mirrors the reference table set: summary statistics, correlation
 and determination matrices, eigenvalues, explained variance, loadings,
 cumulative communality shares, the retention ledger, criteria comparison
 and truncated/rotated loadings.  Machine payloads carry 12 significant
 digits (so a written correlation matrix re-ingests to within 1e-9);
 percentage tables are printed with 2 decimals.
 
-All outputs are deterministic functions of the input bytes and the config:
-fixed number formatting, fixed table order, no timestamps.
+All outputs are deterministic functions of the input bytes and the
+settings: fixed number formatting, fixed table order, no timestamps.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import csv
 import io
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .eigen import eigen_symmetric
+from .eigen import EigenDecomposition, eigen_symmetric
 from .errors import DataError, ParseError, SizeError, ThresholdError
 from .factors import (
     LoadingMatrix,
@@ -34,6 +35,7 @@ from .factors import (
     truncate,
 )
 from .retention import (
+    RetentionReport,
     half_count,
     kaiser_count,
     minvar_count,
@@ -51,13 +53,8 @@ from .stats import (
 from .varimax import RotationResult, varimax
 
 __all__ = [
-    "RAW_CSV",
-    "CORRELATION_CSV",
-    "RunConfig",
-    "IngestResult",
+    "Analysis",
     "ReportTable",
-    "ReportBundle",
-    "ingest",
     "read_data_csv",
     "read_correlation_csv",
     "run_report",
@@ -67,58 +64,16 @@ __all__ = [
     "write_numeric_csv",
     "summary_table",
     "matrix_table",
+    "correlation_tables",
+    "explained_variance_table",
     "loading_table",
     "common_variance_table",
     "cumulative_table",
+    "retention_table",
+    "criteria_table",
 ]
 
-RAW_CSV = "raw_csv"
-CORRELATION_CSV = "correlation_csv"
-
 INGEST_SYMMETRY_TOL = 1e-6  # accepted asymmetry/diagonal slack in a correlation CSV
-
-
-def _default_output_dir() -> str:
-    return os.environ.get("FACPCA_OUT", ".")
-
-
-@dataclass
-class RunConfig:
-    """Everything a report run needs; flags override the FACPCA_OUT env var."""
-
-    input_path: str
-    input_kind: str
-    epsilon: float = 0.51
-    factor_count_override: int | None = None
-    rotate: str = "varimax"
-    kaiser_normalize: bool = True
-    output_dir: str = field(default_factory=_default_output_dir)
-    output_format: str = "csv"
-    percent_threshold: float = 80.0
-
-    def __post_init__(self) -> None:
-        if self.input_kind not in (RAW_CSV, CORRELATION_CSV):
-            raise DataError(f"unknown input kind {self.input_kind!r}")
-        if not 0.5 < self.epsilon <= 1.0:
-            raise ThresholdError(f"epsilon must lie in (0.5, 1], got {self.epsilon}")
-        if not 0.0 < self.percent_threshold <= 100.0:
-            raise ThresholdError(
-                f"percent threshold must lie in (0, 100], got {self.percent_threshold}"
-            )
-        if self.factor_count_override is not None and self.factor_count_override < 1:
-            raise SizeError("factor count override must be at least 1")
-        if self.rotate not in ("varimax", "none"):
-            raise DataError(f"unknown rotation {self.rotate!r}")
-        if self.output_format not in ("csv", "json"):
-            raise DataError(f"unknown output format {self.output_format!r}")
-
-
-@dataclass(frozen=True)
-class IngestResult:
-    """Parsed input plus the number of rows dropped for missing values."""
-
-    data: DataMatrix | CorrelationMatrix
-    dropped_rows: int = 0
 
 
 @dataclass
@@ -127,18 +82,6 @@ class ReportTable:
 
     header: list[str]
     rows: list[list[str]]
-
-
-class ReportBundle(dict):
-    """The report's tables keyed by name, plus the rows the ingest dropped.
-
-    ``rotation`` is the Varimax result, or None when no rotation ran.
-    """
-
-    def __init__(self, dropped_rows: int = 0) -> None:
-        super().__init__()
-        self.dropped_rows = dropped_rows
-        self.rotation: RotationResult | None = None
 
 
 def format_number(value) -> str:
@@ -387,14 +330,78 @@ def read_correlation_csv(path) -> CorrelationMatrix:
     return CorrelationMatrix(entries, labels)
 
 
-def ingest(path, kind: str) -> IngestResult:
-    """Read either input flavor; see ``read_data_csv``/``read_correlation_csv``."""
-    if kind == RAW_CSV:
-        data, dropped = read_data_csv(path)
-        return IngestResult(data, dropped)
-    if kind == CORRELATION_CSV:
-        return IngestResult(read_correlation_csv(path), 0)
-    raise DataError(f"unknown input kind {kind!r}")
+@dataclass(frozen=True)
+class Analysis:
+    """The pipeline over one input; each stage runs at most once, on first use.
+
+    ``kind`` is ``"raw"`` (observation CSV) or ``"corr"`` (correlation
+    matrix CSV).  Settings are checked on construction.  ``factors`` fixes
+    the count ``truncated`` keeps, in place of the min-variance rule's
+    count at ``epsilon``; ``rotation`` is None when not rotating.
+    """
+
+    path: str | Path
+    kind: str = "raw"
+    epsilon: float = 0.51
+    factors: int | None = None
+    rotate: str = "varimax"
+    kaiser_normalize: bool = True
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("raw", "corr"):
+            raise DataError(f"unknown input kind {self.kind!r}")
+        if not 0.5 < self.epsilon <= 1.0:
+            raise ThresholdError(f"epsilon must lie in (0.5, 1], got {self.epsilon}")
+        if self.factors is not None and self.factors < 1:
+            raise SizeError("factor count override must be at least 1")
+        if self.rotate not in ("varimax", "none"):
+            raise DataError(f"unknown rotation {self.rotate!r}")
+
+    @cached_property
+    def _observations(self) -> tuple[DataMatrix, int]:
+        if self.kind != "raw":
+            raise DataError(f"{self.path}: a correlation matrix holds no observations")
+        return read_data_csv(self.path)
+
+    @property
+    def data(self) -> DataMatrix:
+        return self._observations[0]
+
+    @property
+    def dropped_rows(self) -> int:
+        """Rows of a raw input dropped for missing values; 0 for a correlation input."""
+        return self._observations[1] if self.kind == "raw" else 0
+
+    @cached_property
+    def corr(self) -> CorrelationMatrix:
+        if self.kind == "corr":
+            return read_correlation_csv(self.path)
+        return correlation_matrix(self.data)
+
+    @cached_property
+    def eig(self) -> EigenDecomposition:
+        return eigen_symmetric(self.corr.entries, correlation_input=True)
+
+    @cached_property
+    def loadings(self) -> LoadingMatrix:
+        return full_loadings(self.eig, self.corr.labels)
+
+    @cached_property
+    def retention(self) -> RetentionReport:
+        return minvar_count(self.eig, self.epsilon)
+
+    @cached_property
+    def truncated(self) -> LoadingMatrix:
+        k = self.factors or self.retention.chosen
+        if k > self.corr.size:
+            raise SizeError(f"factor count override {k} exceeds the {self.corr.size} variables")
+        return truncate(self.loadings, k)
+
+    @cached_property
+    def rotation(self) -> RotationResult | None:
+        if self.rotate == "none" or self.truncated.k < 2:
+            return None
+        return varimax(self.truncated, normalize=self.kaiser_normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +426,26 @@ def matrix_table(labels, matrix, cell) -> ReportTable:
         [label, *(cell(value) for value in matrix[i])] for i, label in enumerate(labels)
     ]
     return ReportTable(["", *labels], rows)
+
+
+def correlation_tables(corr: CorrelationMatrix) -> tuple[ReportTable, ReportTable]:
+    """The correlation matrix and its entrywise squares, in percent."""
+    return (
+        matrix_table(corr.labels, corr.entries, format_number),
+        matrix_table(corr.labels, determination_matrix(corr), format_pct),
+    )
+
+
+def explained_variance_table(eigenvalues) -> ReportTable:
+    table = variance_table(eigenvalues)
+    columns = zip(table.eigenvalue, table.cumulative_eigenvalue, table.pct, table.cumulative_pct)
+    return ReportTable(
+        ["component", "eigenvalue", "cumulative_eigenvalue", "pct", "cumulative_pct"],
+        [
+            [str(i), format_number(value), format_number(total), f"{pct:.2f}", f"{total_pct:.2f}"]
+            for i, (value, total, pct, total_pct) in enumerate(columns, start=1)
+        ],
+    )
 
 
 def _factor_header(k: int) -> list[str]:
@@ -461,52 +488,9 @@ def cumulative_table(loadings: LoadingMatrix) -> ReportTable:
     return ReportTable(header, rows)
 
 
-def run_report(config: RunConfig) -> ReportBundle:
-    """Produce the full report bundle and write it into the output directory.
-
-    Returns the bundle keyed by table name, carrying the number of input
-    rows dropped for missing values and the Varimax result.  The scree
-    series is written as ``scree.txt``/``scree.svg`` next to the tables.
-    """
-    result = ingest(config.input_path, config.input_kind)
-    bundle = ReportBundle(result.dropped_rows)
-    if isinstance(result.data, DataMatrix):
-        data = result.data
-        bundle["summary_statistics"] = summary_table(data)
-        corr = correlation_matrix(data)
-    else:
-        corr = result.data
-    labels = corr.labels
-    n = corr.size
-    bundle["correlation_matrix"] = matrix_table(labels, corr.entries, format_number)
-    bundle["determination_matrix"] = matrix_table(
-        labels, determination_matrix(corr), format_pct
-    )
-    eig = eigen_symmetric(corr.entries, correlation_input=True)
-    bundle["eigenvalues"] = ReportTable(
-        ["component", "eigenvalue"],
-        [[str(i + 1), format_number(v)] for i, v in enumerate(eig.eigenvalues)],
-    )
-    table = variance_table(eig.eigenvalues)
-    bundle["explained_variance"] = ReportTable(
-        ["component", "eigenvalue", "cumulative_eigenvalue", "pct", "cumulative_pct"],
-        [
-            [
-                str(i + 1),
-                format_number(table.eigenvalue[i]),
-                format_number(table.cumulative_eigenvalue[i]),
-                f"{table.pct[i]:.2f}",
-                f"{table.cumulative_pct[i]:.2f}",
-            ]
-            for i in range(n)
-        ],
-    )
-    loadings = full_loadings(eig, labels)
-    bundle["loadings_full"] = loading_table(loadings, with_communality=False)
-    bundle["cumulative_communality_pct"] = cumulative_table(loadings)
-    report = minvar_count(eig, config.epsilon)
-    bundle["retention"] = ReportTable(
-        ["", *(str(i + 1) for i in range(n))],
+def retention_table(report: RetentionReport) -> ReportTable:
+    return ReportTable(
+        ["", *(str(i + 1) for i in range(len(report.min_var)))],
         [
             ["EigVal", *(format_pct(v) for v in report.eig_pct)],
             ["MinVar", *(format_pct(v) for v in report.min_var)],
@@ -514,41 +498,57 @@ def run_report(config: RunConfig) -> ReportBundle:
             ["NrMinVar", *(str(v) for v in report.nr_min_var)],
         ],
     )
-    bundle["criteria_comparison"] = ReportTable(
+
+
+def criteria_table(analysis: Analysis, percent: float) -> ReportTable:
+    """The factor count of each criterion; ``percent`` is the explained-variance threshold."""
+    if not 0.0 < percent <= 100.0:
+        raise ThresholdError(f"percent threshold must lie in (0, 100], got {percent}")
+    eigenvalues = analysis.eig.eigenvalues
+    return ReportTable(
         ["criterion", "factors"],
         [
-            ["kaiser", str(kaiser_count(eig.eigenvalues))],
-            ["half_of_variables", str(half_count(n))],
-            [
-                f"explained_variance({config.percent_threshold:g}%)",
-                str(percentage_count(eig.eigenvalues, config.percent_threshold)),
-            ],
-            [f"min_variance(epsilon={config.epsilon:g})", str(report.chosen)],
+            ["kaiser", str(kaiser_count(eigenvalues))],
+            ["half_of_variables", str(half_count(analysis.eig.size))],
+            [f"explained_variance({percent:g}%)", str(percentage_count(eigenvalues, percent))],
+            [f"min_variance(epsilon={analysis.epsilon:g})", str(analysis.retention.chosen)],
         ],
     )
-    k = config.factor_count_override or report.chosen
-    if k > n:
-        raise SizeError(f"factor count override {k} exceeds the {n} variables")
-    truncated = truncate(loadings, k)
-    bundle["loadings_truncated"] = loading_table(truncated, with_communality=True)
-    bundle["common_variances_truncated"] = common_variance_table(truncated)
-    if config.rotate == "varimax" and k >= 2:
-        rotation = varimax(truncated, normalize=config.kaiser_normalize)
-        bundle.rotation = rotation
-        bundle["loadings_rotated"] = loading_table(
-            rotation.rotated, with_communality=True
-        )
-        bundle["common_variances_rotated"] = common_variance_table(rotation.rotated)
-    output_dir = Path(config.output_dir)
+
+
+def run_report(
+    analysis: Analysis, output_dir, output_format: str, percent: float
+) -> dict[str, ReportTable]:
+    """Write the full report bundle of ``analysis`` into ``output_dir``.
+
+    ``output_format`` is ``"csv"`` (one file per table) or ``"json"`` (one
+    ``report.json``); ``percent`` is the explained-variance criterion's
+    threshold.  Returns the tables keyed by name.  The scree series is
+    written as ``scree.txt``/``scree.svg`` next to the tables.
+    """
+    if output_format not in ("csv", "json"):
+        raise DataError(f"unknown output format {output_format!r}")
+    bundle = {}
+    if analysis.kind == "raw":
+        bundle["summary_statistics"] = summary_table(analysis.data)
+    correlation, determination = correlation_tables(analysis.corr)
+    bundle["correlation_matrix"] = correlation
+    bundle["determination_matrix"] = determination
+    explained = explained_variance_table(analysis.eig.eigenvalues)
+    bundle["eigenvalues"] = ReportTable(explained.header[:2], [row[:2] for row in explained.rows])
+    bundle["explained_variance"] = explained
+    bundle["loadings_full"] = loading_table(analysis.loadings, with_communality=False)
+    bundle["cumulative_communality_pct"] = cumulative_table(analysis.loadings)
+    bundle["retention"] = retention_table(analysis.retention)
+    bundle["criteria_comparison"] = criteria_table(analysis, percent)
+    bundle["loadings_truncated"] = loading_table(analysis.truncated, with_communality=True)
+    bundle["common_variances_truncated"] = common_variance_table(analysis.truncated)
+    if analysis.rotation is not None:
+        rotated = analysis.rotation.rotated
+        bundle["loadings_rotated"] = loading_table(rotated, with_communality=True)
+        bundle["common_variances_rotated"] = common_variance_table(rotated)
+    output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    _write_bundle(bundle, output_dir, config.output_format)
-    emit_scree(eig.eigenvalues, output_dir / "scree.svg")
-    return bundle
-
-
-def _write_bundle(
-    bundle: dict[str, ReportTable], output_dir: Path, output_format: str
-) -> None:
     if output_format == "csv":
         for name, table in bundle.items():
             with open(output_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as f:
@@ -556,13 +556,12 @@ def _write_bundle(
                 writer.writerow(table.header)
                 writer.writerows(table.rows)
     else:
-        payload = {
-            name: {"header": table.header, "rows": table.rows}
-            for name, table in bundle.items()
-        }
+        payload = {name: {"header": t.header, "rows": t.rows} for name, t in bundle.items()}
         with open(output_dir / "report.json", "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
+    emit_scree(analysis.eig.eigenvalues, output_dir / "scree.svg")
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -129,18 +129,24 @@ def summarize(column) -> VariableStats:
     the two central values.  Median and mode are read from one sorted copy.
     """
     x = _as_column(column, "column")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = float(x.mean())
     if not math.isfinite(mean):
         # the sum of finite values overflowed: average them scaled to at most 1
         top = float(np.max(np.abs(x)))
         mean = top * float(np.mean(x / top))
-    deviations = x - mean
+    with np.errstate(over="ignore"):
+        deviations = x - mean
+    unit = 1.0
+    if not np.all(np.isfinite(deviations)):
+        # the range of x exceeds the largest float: center x / max|x| instead
+        unit = float(np.max(np.abs(x)))
+        deviations = x / unit - mean / unit
     # scaled to at most 1 in magnitude, so squaring cannot overflow or underflow
     scale = float(np.max(np.abs(deviations)))
     if scale > 0.0:
         deviations /= scale
-    std_dev = scale * float(np.sqrt(np.mean(deviations**2)))
+    std_dev = unit * (scale * float(np.sqrt(np.mean(deviations**2))))
     ordered = np.sort(x)
     m = ordered.size
     run_starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
@@ -160,7 +166,13 @@ def summarize(column) -> VariableStats:
 
 
 def _centered_columns(data: DataMatrix) -> np.ndarray:
-    centered = data.values - data.values.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data.values - data.values.mean(axis=0)
+    # a column whose sum or range exceeds the largest float is centered after
+    # scaling it by 1 / max|x|; correlations do not depend on a column's scale
+    for j in np.flatnonzero(~np.isfinite(centered).all(axis=0)):
+        column = data.values[:, j] / np.max(np.abs(data.values[:, j]))
+        centered[:, j] = column - column.mean()
     # second centering pass kills the rounding residue left by large offsets
     centered -= centered.mean(axis=0)
     return centered

@@ -32,7 +32,7 @@ from facpca import (
 )
 from facpca.cli import main as cli_main
 from facpca.datasets import dataset1_corr_path
-from facpca.reporting import CORRELATION_CSV, ingest
+from facpca.reporting import read_correlation_csv
 
 from conftest import permuted_sign_matched_diff, random_correlation_psd, sign_matched_diff
 from reference_values import (
@@ -55,7 +55,7 @@ from test_eigen import analytic_eigenvalues_2x2, analytic_eigenvalues_3x3, rando
 
 @pytest.fixture(scope="module")
 def fixture_corr():
-    return ingest(dataset1_corr_path(), CORRELATION_CSV).data
+    return read_correlation_csv(dataset1_corr_path())
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +241,7 @@ def test_criterion_09_property_suite(fixture_loadings):
 
     # retention count is monotone in the threshold
     base = eigen_symmetric(
-        ingest(dataset1_corr_path(), CORRELATION_CSV).data.entries,
+        read_correlation_csv(dataset1_corr_path()).entries,
         correlation_input=True,
     )
     counts = [

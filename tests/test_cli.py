@@ -1,12 +1,15 @@
 import subprocess
 import sys
 
+from collections import Counter
+
 import pytest
 
 import facpca.cli
+import facpca.reporting
 from facpca.cli import main
 from facpca.datasets import dataset1_corr_path
-from facpca.reporting import RAW_CSV, ingest
+from facpca.reporting import read_data_csv
 
 import numeric_csv_oracle
 from conftest import dense_factor_correlation
@@ -61,12 +64,43 @@ def test_report_prints_dropped_rows(tmp_path, capsys):
     assert "dropped 1 row(s) with missing values" in capsys.readouterr().out
 
 
+def _out_flag(command, out) -> list[str]:
+    """``--out out`` for the subcommands that write files, nothing for the others."""
+    return ["--out", str(out)] if command in ("report", "simulate") else []
+
+
 @pytest.mark.parametrize("command", ["fa", "simulate"])
 def test_factor_count_below_one_is_rejected(tmp_path, capsys, command):
-    assert main([command, "--corr", FIXTURE, "--factors", "0", "--out", str(tmp_path)]) == 1
+    out = tmp_path / "out"
+    assert main([command, "--corr", FIXTURE, "--factors", "0", *_out_flag(command, out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"facpca {command}: factor count override must be at least 1" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fa", "simulate", "report"])
+def test_factor_count_above_n_is_rejected(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--corr", FIXTURE, "--factors", "9", *_out_flag(command, out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"facpca {command}: factor count override 9 exceeds the 7 variables\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("percent", ["0", "-5", "100.5", "150"])
+@pytest.mark.parametrize("command", ["select", "report"])
+def test_percent_outside_range_is_rejected(tmp_path, capsys, command, percent):
+    out = tmp_path / "out"
+    argv = [command, "--corr", FIXTURE, "--percent", percent, *_out_flag(command, out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"facpca {command}: percent threshold must lie in (0, 100], got {float(percent)}\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "fa"])
@@ -79,10 +113,62 @@ def test_unconverged_varimax_is_reported(tmp_path, capsys, command):
     path = tmp_path / "corr.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     warning = "warning: varimax stopped after 50 sweeps without converging\n"
-    assert main([command, "--corr", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert main([command, "--corr", str(path), *_out_flag(command, tmp_path / "out")]) == 0
     assert capsys.readouterr().err == warning
-    assert main([command, "--corr", FIXTURE, "--out", str(tmp_path / "weather")]) == 0
+    assert main([command, "--corr", FIXTURE, *_out_flag(command, tmp_path / "weather")]) == 0
     assert capsys.readouterr().err == ""
+
+
+STAGES = (
+    "read_data_csv",
+    "read_correlation_csv",
+    "summarize",
+    "correlation_matrix",
+    "eigen_symmetric",
+    "minvar_count",
+    "varimax",
+)
+
+
+@pytest.fixture()
+def stage_calls(monkeypatch):
+    """The names of the pipeline stages called through ``facpca.reporting``, in order."""
+    calls = []
+    for name in STAGES:
+        original = getattr(facpca.reporting, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(facpca.reporting, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["--input", "--corr"])
+def test_report_runs_each_stage_once(tmp_path, capsys, raw_csv, stage_calls, source):
+    path = raw_csv if source == "--input" else FIXTURE
+    assert main(["report", source, path, "--factors", "2", "--out", str(tmp_path / "out")]) == 0
+    read = "read_data_csv" if source == "--input" else "read_correlation_csv"
+    expected = {read: 1, "eigen_symmetric": 1, "minvar_count": 1, "varimax": 1}
+    if source == "--input":
+        expected.update(correlation_matrix=1, summarize=3)  # one summary per column
+    assert Counter(stage_calls) == expected
+
+
+@pytest.mark.parametrize("source", ["--input", "--corr"])
+def test_simulate_runs_no_rotation_or_summary(tmp_path, capsys, raw_csv, stage_calls, source):
+    path = raw_csv if source == "--input" else FIXTURE
+    assert main(["simulate", source, path, "--draws", "10", "--out", str(tmp_path)]) == 0
+    assert "varimax" not in stage_calls and "summarize" not in stage_calls
+    assert stage_calls.count("eigen_symmetric") == 1
+
+
+@pytest.mark.parametrize("source", ["--input", "--corr"])
+def test_corr_runs_no_decomposition(capsys, raw_csv, stage_calls, source):
+    assert main(["corr", source, raw_csv if source == "--input" else FIXTURE]) == 0
+    assert "eigen_symmetric" not in stage_calls
+    assert len(stage_calls) == (2 if source == "--input" else 1)
 
 
 def test_corr_subcommand(raw_csv, capsys):
@@ -141,10 +227,10 @@ def test_simulate_subcommand(tmp_path, capsys):
         ["simulate", "--corr", FIXTURE, "--draws", "100", "--seed", "5", "--out", str(out)]
     )
     assert code == 0
-    drawn = ingest(out / "simulated.csv", RAW_CSV)
-    assert drawn.data.values.shape == (100, 7)
-    assert drawn.data.labels == tuple(f"x{i}" for i in range(1, 8))
-    assert drawn.dropped_rows == 0
+    drawn, dropped = read_data_csv(out / "simulated.csv")
+    assert drawn.values.shape == (100, 7)
+    assert drawn.labels == tuple(f"x{i}" for i in range(1, 8))
+    assert dropped == 0
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -181,13 +267,65 @@ def test_scores_csv_matches_cell_writer(tmp_path, monkeypatch):
 def test_csv_only_subcommands_reject_json(tmp_path, capsys, raw_csv, command):
     source = ["--corr", FIXTURE] if command == "simulate" else ["--input", raw_csv]
     out = tmp_path / "out"
-    assert main([command, *source, "--format", "json", "--out", str(out)]) == 1
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *source, "--format", "json", "--out", str(out)])
+    assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"facpca {command}: {command} writes CSV only; --format json is not supported\n"
-    )
+    assert "unrecognized arguments: --format json" in captured.err
     assert not out.exists()
+
+
+# The flags each subcommand reads, written out here rather than taken from
+# the parser, so that a flag registered on the wrong subcommand fails.
+SOURCE = ("--input", "--corr")
+READS = {
+    "summary": ("--input",),
+    "corr": SOURCE,
+    "eigen": SOURCE,
+    "pca": ("--input", "--epsilon", "--out"),
+    "fa": (*SOURCE, "--epsilon", "--factors", "--rotate", "--no-kaiser-normalize"),
+    "select": (*SOURCE, "--epsilon", "--percent"),
+    "report": (*SOURCE, "--epsilon", "--factors", "--rotate", "--no-kaiser-normalize",
+               "--format", "--out", "--percent"),
+    "scree": (*SOURCE, "--out"),
+    "simulate": (*SOURCE, "--epsilon", "--factors", "--out", "--seed", "--draws"),
+}
+FLAG_VALUES = {
+    "--input": ["{raw}"], "--corr": [FIXTURE], "--epsilon": ["0.6"], "--factors": ["2"],
+    "--rotate": ["none"], "--no-kaiser-normalize": [], "--format": ["csv"], "--out": ["{out}"],
+    "--percent": ["70"], "--seed": ["1"], "--draws": ["5"],
+}
+UNREAD = [
+    (command, flag) for command, reads in READS.items() for flag in FLAG_VALUES if flag not in reads
+]
+
+
+def _argv(flag, raw_csv, out) -> list[str]:
+    return [flag, *(value.format(raw=raw_csv, out=out) for value in FLAG_VALUES[flag])]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, raw_csv, command, flag):
+    out = tmp_path / "out"
+    source = _argv("--input" if "--corr" not in READS[command] else "--corr", raw_csv, out)
+    writes = ["--out", str(out)] if "--out" in READS[command] else []
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *source, *_argv(flag, raw_csv, out), *writes])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_every_flag_the_subcommand_reads_is_accepted(tmp_path, capsys, raw_csv, command):
+    argv = [command]
+    for flag in READS[command]:
+        if flag != "--input" or "--corr" not in READS[command]:  # one source at a time
+            argv += _argv(flag, raw_csv, tmp_path / "out")
+    assert main(argv) == 0
 
 
 def test_missing_input_fails_with_stderr(capsys):
@@ -224,6 +362,26 @@ def test_out_env_var_is_honored(tmp_path, raw_csv, monkeypatch, capsys):
     monkeypatch.setenv("FACPCA_OUT", str(target))
     assert main(["pca", "--input", raw_csv]) == 0
     assert (target / "scores.csv").exists()
+
+
+def test_report_out_defaults_to_env_then_cwd(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FACPCA_OUT", str(tmp_path / "fromenv"))
+    assert main(["report", "--corr", FIXTURE]) == 0
+    assert f"to {tmp_path / 'fromenv'}\n" in capsys.readouterr().out
+    assert (tmp_path / "fromenv" / "retention.csv").exists()
+    monkeypatch.delenv("FACPCA_OUT")
+    monkeypatch.chdir(tmp_path)
+    assert main(["report", "--corr", FIXTURE]) == 0
+    assert "scree plot to .\n" in capsys.readouterr().out
+    assert (tmp_path / "retention.csv").exists()
+
+
+def test_raw_only_subcommands_without_input(capsys):
+    for command in ("summary", "pca"):
+        assert main([command]) == 1
+        assert capsys.readouterr().err == (
+            f"facpca {command}: this subcommand needs raw observations (--input)\n"
+        )
 
 
 def test_console_entry_point():

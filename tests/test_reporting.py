@@ -12,12 +12,9 @@ from numpy.testing import assert_allclose
 from facpca import DataError, ParseError, SizeError, ThresholdError
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import (
-    CORRELATION_CSV,
     CSV_BLOCK_ROWS,
-    RAW_CSV,
-    RunConfig,
+    Analysis,
     emit_scree,
-    ingest,
     read_correlation_csv,
     read_data_csv,
     run_report,
@@ -47,8 +44,7 @@ RAW_SAMPLE = "a,b,c\n1,1,2\n2,3,3\n2,2,1\n5,4,4\n"
 
 
 def test_bundled_fixture_ingests_to_weather_matrix():
-    result = ingest(dataset1_corr_path(), CORRELATION_CSV)
-    corr = result.data
+    corr = read_correlation_csv(dataset1_corr_path())
     assert isinstance(corr, CorrelationMatrix)
     assert corr.size == 7
     assert corr.labels == tuple(f"x{i}" for i in range(1, 8))
@@ -92,7 +88,7 @@ def test_raw_csv_too_few_usable_rows(tmp_path):
 
 def test_missing_file_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError, match="not found"):
-        ingest(tmp_path / "absent.csv", RAW_CSV)
+        read_data_csv(tmp_path / "absent.csv")
 
 
 def test_correlation_csv_requires_matching_labels(tmp_path):
@@ -185,34 +181,34 @@ def test_block_writer_matches_oracle_on_special_values(rows):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig
+# Analysis and run_report
 
 
-def test_run_config_validation(tmp_path):
-    with pytest.raises(ThresholdError):
-        RunConfig("x.csv", RAW_CSV, epsilon=0.5)
-    with pytest.raises(ThresholdError):
-        RunConfig("x.csv", RAW_CSV, percent_threshold=0.0)
-    with pytest.raises(DataError):
-        RunConfig("x.csv", RAW_CSV, rotate="oblimin")
-    with pytest.raises(DataError):
-        RunConfig("x.csv", RAW_CSV, output_format="xlsx")
-    with pytest.raises(DataError):
-        RunConfig("x.csv", "spreadsheet")
-    with pytest.raises(SizeError):
-        RunConfig("x.csv", RAW_CSV, factor_count_override=0)
+def test_analysis_validation():
+    with pytest.raises(ThresholdError, match=r"epsilon must lie in \(0.5, 1\], got 0.5"):
+        Analysis("x.csv", epsilon=0.5)
+    with pytest.raises(DataError, match="unknown rotation 'oblimin'"):
+        Analysis("x.csv", rotate="oblimin")
+    with pytest.raises(DataError, match="unknown input kind 'spreadsheet'"):
+        Analysis("x.csv", "spreadsheet")
+    with pytest.raises(SizeError, match="factor count override must be at least 1"):
+        Analysis("x.csv", factors=0)
 
 
-def test_output_dir_defaults_to_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("FACPCA_OUT", str(tmp_path / "fromenv"))
-    config = RunConfig("x.csv", RAW_CSV)
-    assert config.output_dir == str(tmp_path / "fromenv")
-    monkeypatch.delenv("FACPCA_OUT")
-    assert RunConfig("x.csv", RAW_CSV).output_dir == "."
+def test_run_report_validation(tmp_path):
+    analysis = Analysis(dataset1_corr_path(), "corr")
+    with pytest.raises(ThresholdError, match=r"percent threshold must lie in \(0, 100\], got 0.0"):
+        run_report(analysis, tmp_path / "out", "csv", 0.0)
+    with pytest.raises(DataError, match="unknown output format 'xlsx'"):
+        run_report(analysis, tmp_path / "out", "xlsx", 80.0)
+    assert not (tmp_path / "out").exists()
 
 
-# ---------------------------------------------------------------------------
-# run_report
+def test_correlation_input_has_no_observations():
+    analysis = Analysis(dataset1_corr_path(), "corr")
+    assert analysis.dropped_rows == 0
+    with pytest.raises(DataError, match="a correlation matrix holds no observations"):
+        analysis.data
 
 
 EXPECTED_TABLES = {
@@ -231,18 +227,13 @@ EXPECTED_TABLES = {
 }
 
 
-def _report_config(tmp_path, **overrides):
-    defaults = dict(
-        input_path=str(dataset1_corr_path()),
-        input_kind=CORRELATION_CSV,
-        output_dir=str(tmp_path),
-    )
-    defaults.update(overrides)
-    return RunConfig(**defaults)
+def _fixture_report(output_dir, output_format="csv", **settings):
+    analysis = Analysis(dataset1_corr_path(), "corr", **settings)
+    return run_report(analysis, output_dir, output_format, 80.0)
 
 
 def test_report_bundle_contents(tmp_path):
-    bundle = run_report(_report_config(tmp_path))
+    bundle = _fixture_report(tmp_path)
     assert set(bundle) == EXPECTED_TABLES
     for name in EXPECTED_TABLES:
         assert (tmp_path / f"{name}.csv").exists()
@@ -260,10 +251,7 @@ def test_report_bundle_contents(tmp_path):
 
 def test_report_summary_table_only_for_raw(tmp_path):
     raw = _write(tmp_path / "raw.csv", RAW_SAMPLE)
-    config = RunConfig(
-        str(raw), RAW_CSV, output_dir=str(tmp_path / "out"), rotate="none"
-    )
-    bundle = run_report(config)
+    bundle = run_report(Analysis(raw, rotate="none"), tmp_path / "out", "csv", 80.0)
     assert "summary_statistics" in bundle
     stats = bundle["summary_statistics"]
     assert stats.header == ["statistic", "a", "b", "c"]
@@ -271,16 +259,14 @@ def test_report_summary_table_only_for_raw(tmp_path):
 
 
 def test_report_four_factor_override_matches_reference(tmp_path):
-    bundle = run_report(_report_config(tmp_path, factor_count_override=4))
+    bundle = _fixture_report(tmp_path, factors=4)
     table = bundle["loadings_rotated"]
     got = np.array([[float(cell) for cell in row[1:5]] for row in table.rows])
     assert permuted_sign_matched_diff(got, REF_LOADINGS_4F_ROTATED) < 2e-2
 
 
 def test_report_no_rotation_keeps_full_loadings(tmp_path):
-    bundle = run_report(
-        _report_config(tmp_path, factor_count_override=7, rotate="none")
-    )
+    bundle = _fixture_report(tmp_path, factors=7, rotate="none")
     assert "loadings_rotated" not in bundle
     full = [row[1:] for row in bundle["loadings_full"].rows]
     truncated = [row[1:-1] for row in bundle["loadings_truncated"].rows]
@@ -288,12 +274,13 @@ def test_report_no_rotation_keeps_full_loadings(tmp_path):
 
 
 def test_report_override_beyond_n_fails(tmp_path):
-    with pytest.raises(SizeError):
-        run_report(_report_config(tmp_path, factor_count_override=8))
+    with pytest.raises(SizeError, match="factor count override 8 exceeds the 7 variables"):
+        _fixture_report(tmp_path / "out", factors=8)
+    assert not (tmp_path / "out").exists()
 
 
 def test_written_correlation_matrix_reingests(tmp_path):
-    run_report(_report_config(tmp_path))
+    _fixture_report(tmp_path)
     corr = read_correlation_csv(tmp_path / "correlation_matrix.csv")
     assert np.max(np.abs(corr.entries - WEATHER_CORR)) < 1e-9
 
@@ -301,8 +288,8 @@ def test_written_correlation_matrix_reingests(tmp_path):
 def test_report_outputs_are_byte_deterministic(tmp_path):
     first = tmp_path / "one"
     second = tmp_path / "two"
-    run_report(_report_config(first))
-    run_report(_report_config(second))
+    _fixture_report(first)
+    _fixture_report(second)
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
@@ -310,7 +297,7 @@ def test_report_outputs_are_byte_deterministic(tmp_path):
 
 
 def test_report_json_format(tmp_path):
-    bundle = run_report(_report_config(tmp_path, output_format="json"))
+    bundle = _fixture_report(tmp_path, "json")
     payload = json.loads((tmp_path / "report.json").read_text())
     assert set(payload) == set(bundle)
     assert payload["retention"]["rows"][3][1:] == ["5", "7", "7", "4", "6", "2", "6"]

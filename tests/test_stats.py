@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from facpca import (
@@ -100,6 +101,63 @@ def test_summarize_moments_unchanged_when_the_sum_is_finite(values):
     stats = summarize(x)
     got = np.array([stats.mean, stats.std_dev])
     assert got.tobytes() == np.array(_summary_moments_before_overflow_guard(x)).tobytes()
+
+
+# columns whose range exceeds the largest float, so that centering overflows;
+# the second sums to +inf and -inf in different partial sums, i.e. to nan
+WIDE_COLUMNS = [
+    [1.7e308, -1.7e308, -1.7e308, 1e308],
+    [1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0],
+]
+
+
+@pytest.mark.parametrize("column", [[1.7e308, -1.7e308, -1.7e308], *WIDE_COLUMNS])
+def test_summarize_std_dev_of_a_range_beyond_the_largest_float(column):
+    x = np.array(column)
+    top = np.max(np.abs(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = summarize(x)
+    assert stats.mean == pytest.approx(top * np.mean(x / top), rel=1e-15, abs=1e-300)
+    assert stats.std_dev == pytest.approx(top * np.std(x / top), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("column", WIDE_COLUMNS)
+def test_correlation_matrix_of_a_range_beyond_the_largest_float(column):
+    x = np.array(column)
+    other = np.cos(np.arange(x.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corr = correlation_matrix(DataMatrix(np.column_stack([x, other, -x]), ("a", "b", "c")))
+    expected = np.corrcoef(np.column_stack([x / np.max(np.abs(x)), other, -x / 1.7e308]).T)
+    assert_allclose(corr.entries, expected, rtol=0.0, atol=1e-14)
+
+
+def _correlation_before_overflow_guard(values):
+    centered = values - values.mean(axis=0)
+    centered -= centered.mean(axis=0)
+    centered = centered / np.max(np.abs(centered), axis=0)
+    sumsq = np.sum(centered**2, axis=0)
+    n = values.shape[1]
+    upper = np.zeros((n, n))
+    for i in range(n - 1):
+        dots = centered[:, i + 1 :].T @ centered[:, i]
+        upper[i, i + 1 :] = dots / np.sqrt(sumsq[i] * sumsq[i + 1 :])
+    return np.clip(upper + upper.T + np.eye(n), -1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(2, 40), st.integers(1, 5)),
+        elements=st.floats(-1e300, 1e300) | st.sampled_from([0.0, 1.0, -1.0, 5e-324]),
+    )
+)
+def test_correlation_matrix_unchanged_when_centering_is_finite(values):
+    assume(np.all(np.ptp(values, axis=0) > 1e-290))
+    corr = correlation_matrix(DataMatrix(values, tuple(f"v{j}" for j in range(values.shape[1]))))
+    assert corr.entries.tobytes() == _correlation_before_overflow_guard(values).tobytes()
 
 
 def test_summarize_rejects_short_and_nonfinite():
