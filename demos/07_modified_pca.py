@@ -1,7 +1,8 @@
 """The modified PCA pipeline end to end.
 
-Standardize, correlate, decompose, pick the component count with the
-minimum-per-variable rule, project.  Component scores are uncorrelated and
+``Analysis`` correlates, decomposes, picks the component count with the
+minimum-per-variable rule, and its ``scores`` project the standardized
+data onto that many eigenvectors.  Component scores are uncorrelated and
 their variances equal the eigenvalues, so the retained scores carry the
 promised share of every variable's variance.
 
@@ -12,13 +13,7 @@ to the published ones.
 
 import numpy as np
 
-from facpca import (
-    build_model,
-    eigen_symmetric,
-    full_loadings,
-    pca_modified,
-    simulate,
-)
+from facpca import Analysis, build_model, eigen_symmetric, full_loadings, simulate
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import read_correlation_csv
 
@@ -29,8 +24,9 @@ observations = simulate(model, draws=20_000, seed=7)
 print(f"simulated {observations.n_observations} observations "
       f"of {observations.n_variables} variables")
 
-result = pca_modified(observations, epsilon=0.51)
-print(f"\nretained components: {result.retained}")
+result = Analysis(observations, epsilon=0.51)
+retained = result.retention.chosen
+print(f"\nretained components: {retained}")
 print("score column variances vs eigenvalues:")
 centered = result.scores - result.scores.mean(axis=0)
 variances = np.mean(centered**2, axis=0)
@@ -40,8 +36,8 @@ for j, (got, want) in enumerate(zip(variances, result.eig.eigenvalues), start=1)
 cross = centered.T @ centered / result.scores.shape[0]
 cross /= np.sqrt(np.outer(variances, variances))
 print(f"\nlargest cross-correlation between scores: "
-      f"{np.max(np.abs(cross - np.eye(result.retained))):.2e}")
+      f"{np.max(np.abs(cross - np.eye(retained))):.2e}")
 
-worst = min(result.report.min_var[result.retained - 1], 1.0)
+worst = min(result.retention.min_var[retained - 1], 1.0)
 print(f"worst-explained variable keeps {worst * 100:.2f}% of its variance "
-      f"(threshold {result.report.threshold:.0%})")
+      f"(threshold {result.retention.threshold:.0%})")

@@ -4,12 +4,11 @@ The library covers the shared PCA/FA pipeline (standardization, Pearson
 correlation, LAPACK eigendecomposition with a defined order for tied
 eigenvalues, factor loadings, Varimax rotation) and a retention rule that
 keeps adding factors until every variable has most of its variance
-explained.  The cyclic Jacobi solver, built from the exposed plane
-rotations, is kept in the tests as the accuracy reference for the
-eigendecomposition.
+explained.  ``Analysis`` runs that pipeline on one input, each stage at
+most once; its ``scores`` are the modified PCA's component scores.
 """
 
-from .eigen import EigenDecomposition, compose_rotation, eigen_symmetric, plane_rotation
+from .eigen import EigenDecomposition, eigen_symmetric
 from .errors import (
     ConvergenceError,
     DataError,
@@ -19,7 +18,6 @@ from .errors import (
     NotPositiveSemidefiniteError,
     OrderError,
     ParseError,
-    PlaneIndexError,
     ShapeError,
     SizeError,
     ThresholdError,
@@ -34,13 +32,8 @@ from .factors import (
     simulate,
     truncate,
 )
-from .pipeline import (
-    PcaResult,
-    pc_variable_determination,
-    pca_modified,
-    project,
-    verify_artifact,
-)
+from .pipeline import pc_variable_determination, project, verify_artifact
+from .reporting import Analysis
 from .retention import (
     RetentionReport,
     VarianceTable,
@@ -78,8 +71,6 @@ __all__ = [
     "determination_matrix",
     # eigen
     "EigenDecomposition",
-    "plane_rotation",
-    "compose_rotation",
     "eigen_symmetric",
     # factors
     "LoadingMatrix",
@@ -105,17 +96,16 @@ __all__ = [
     "minvar_count",
     "scree_data",
     # pipeline
-    "PcaResult",
     "project",
-    "pca_modified",
     "pc_variable_determination",
     "verify_artifact",
+    # reporting
+    "Analysis",
     # errors
     "FacpcaError",
     "SizeError",
     "DataError",
     "DegenerateColumnError",
-    "PlaneIndexError",
     "ShapeError",
     "NotPositiveSemidefiniteError",
     "ConvergenceError",

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .errors import DataError, FacpcaError
 from .factors import build_model, simulate
-from .pipeline import pca_modified
 from .reporting import (
     Analysis,
     ReportTable,
@@ -166,11 +165,11 @@ def _cmd_fa(args) -> None:
 def _cmd_pca(args) -> None:
     analysis = _analysis(args)
     _print_dropped(analysis)
-    result = pca_modified(analysis.data, analysis.epsilon)
+    scores = analysis.scores
     out = _out_dir(args)
-    k = result.retained
-    write_numeric_csv(out / "scores.csv", [f"PC{j + 1}" for j in range(k)], result.scores)
-    _print_table("retention", retention_table(result.report))
+    k = scores.shape[1]
+    write_numeric_csv(out / "scores.csv", [f"PC{j + 1}" for j in range(k)], scores)
+    _print_table("retention", retention_table(analysis.retention))
     print(f"retained components: {k}")
     print(f"wrote {out / 'scores.csv'}")
 

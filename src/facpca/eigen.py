@@ -1,32 +1,23 @@
-"""Symmetric eigendecomposition, plus the plane rotations of the Jacobi method.
+"""Symmetric eigendecomposition in one defined form.
 
 ``eigen_symmetric`` runs LAPACK's symmetric solver (``numpy.linalg.eigh``)
 and puts its result in one defined form: eigenvalues sorted non-increasing,
 exactly equal eigenvalues ordered by the row index of their eigenvector's
 largest-magnitude entry, and each column signed so that entry is
-non-negative.  The cyclic Jacobi solver built from ``plane_rotation`` and
-``compose_rotation`` is kept in the tests as the accuracy reference the
-LAPACK engine is checked against.
+non-negative.  The cyclic Jacobi solver it replaced is kept in the tests
+as the accuracy reference the LAPACK engine is checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    NotPositiveSemidefiniteError,
-    PlaneIndexError,
-    ShapeError,
-)
+from .errors import ConvergenceError, NotPositiveSemidefiniteError, ShapeError
 
 __all__ = [
     "EigenDecomposition",
-    "plane_rotation",
-    "compose_rotation",
     "eigen_symmetric",
 ]
 
@@ -62,51 +53,6 @@ class EigenDecomposition:
     @property
     def size(self) -> int:
         return self.eigenvalues.shape[0]
-
-
-def _check_plane(n: int, i: int, j: int) -> None:
-    if not (0 <= i < j < n):
-        raise PlaneIndexError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-
-
-def plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
-    """Identity matrix with a rotation by ``angle`` embedded in plane (i, j).
-
-    The four modified elements are ``r[i, i] = r[j, j] = cos(angle)``,
-    ``r[i, j] = sin(angle)`` and ``r[j, i] = -sin(angle)``.
-    """
-    _check_plane(n, i, j)
-    c = math.cos(angle)
-    s = math.sin(angle)
-    r = np.eye(n)
-    r[i, i] = c
-    r[i, j] = s
-    r[j, i] = -s
-    r[j, j] = c
-    return r
-
-
-def _apply_plane_inplace(matrix: np.ndarray, i: int, j: int, c: float, s: float) -> None:
-    # matrix := matrix @ plane_rotation(n, i, j, angle); only columns i, j change
-    col_i = c * matrix[:, i] - s * matrix[:, j]
-    col_j = s * matrix[:, i] + c * matrix[:, j]
-    matrix[:, i] = col_i
-    matrix[:, j] = col_j
-
-
-def compose_rotation(accumulated: np.ndarray, i: int, j: int, angle: float) -> np.ndarray:
-    """Multiply an accumulated rotation by one more plane rotation.
-
-    Equivalent to ``accumulated @ plane_rotation(n, i, j, angle)`` but only
-    the two affected columns are recomputed.  The caller is responsible for
-    passing an orthogonal ``accumulated``; it is not re-checked here.
-    """
-    acc = np.array(accumulated, dtype=float)
-    if acc.ndim != 2 or acc.shape[0] != acc.shape[1]:
-        raise ShapeError("accumulated rotation must be a square matrix")
-    _check_plane(acc.shape[0], i, j)
-    _apply_plane_inplace(acc, i, j, math.cos(angle), math.sin(angle))
-    return acc
 
 
 def eigen_symmetric(matrix, *, correlation_input: bool = False) -> EigenDecomposition:

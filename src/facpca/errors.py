@@ -17,10 +17,6 @@ class DegenerateColumnError(FacpcaError):
     """A column is constant, so correlation-based quantities are undefined."""
 
 
-class PlaneIndexError(FacpcaError):
-    """Invalid axis pair for a plane rotation."""
-
-
 class ShapeError(FacpcaError):
     """Matrix shape or symmetry requirement violated."""
 

@@ -1,56 +1,30 @@
-"""Modified PCA pipeline: the component count is picked so that every
-variable keeps most of its variance, not just the average variable.
+"""Principal-component scores, and cross-checks tying the factor-analysis
+view to the PCA view.
 
-Also hosts cross-checks tying the factor-analysis view to the PCA view:
-squared correlations between variables and component scores must equal the
-squared loadings, and the loading matrix expressed in the eigenvector basis
-must come out symmetric.
+``project`` gives the modified PCA's scores: the standardized data on the
+leading eigenvectors, as many as the per-variable retention rule keeps
+(``reporting.Analysis.scores``).  Squared correlations between variables
+and component scores must equal the squared loadings, and the loading
+matrix expressed in the eigenvector basis must come out symmetric.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import EigenDecomposition, eigen_symmetric
-from .errors import FacpcaError, InconsistentModelError, ShapeError, SizeError
-from .factors import LoadingMatrix, full_loadings, truncate
-from .retention import RetentionReport, minvar_count
-from .stats import DataMatrix, correlation_matrix, standardize
+from .errors import InconsistentModelError, ShapeError, SizeError
+from .factors import LoadingMatrix
+from .stats import DataMatrix
 
 __all__ = [
-    "PcaResult",
     "project",
-    "pca_modified",
     "pc_variable_determination",
     "verify_artifact",
 ]
 
 ZERO_SCORE_VARIANCE = 1e-12  # score columns below this variance are degenerate
-
-
-@dataclass(frozen=True)
-class PcaResult:
-    """Outcome of the modified PCA run.
-
-    ``scores`` holds the m x k principal-component values; column j has mean
-    0 and biased variance equal to ``eig.eigenvalues[j]``.  ``loadings`` is
-    the n x k truncated loading matrix and ``report`` the full retention
-    diagnostics that produced ``retained``.
-    """
-
-    scores: np.ndarray
-    retained: int
-    eig: EigenDecomposition
-    loadings: LoadingMatrix
-    report: RetentionReport
-
-    def __post_init__(self) -> None:
-        scores = np.array(self.scores, dtype=float)
-        scores.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
 
 
 def project(standardized: DataMatrix, eigenvectors: np.ndarray, k: int) -> np.ndarray:
@@ -67,38 +41,6 @@ def project(standardized: DataMatrix, eigenvectors: np.ndarray, k: int) -> np.nd
     if not (1 <= k <= u.shape[1]):
         raise ShapeError(f"need 1 <= k <= {u.shape[1]}, got k={k}")
     return standardized.values @ u[:, :k]
-
-
-def _stage(step: str, action, *args, **kwargs):
-    try:
-        return action(*args, **kwargs)
-    except FacpcaError as exc:
-        raise type(exc)(f"step ({step}): {exc}") from exc
-
-
-def pca_modified(data: DataMatrix, epsilon: float = 0.51) -> PcaResult:
-    """Run PCA, retaining enough components to explain at least ``epsilon``
-    of every variable's variance.
-
-    Steps run in the fixed order standardize, correlate, decompose, pick the
-    component count, project; any stage failure is re-raised with its step
-    number so callers can tell where the pipeline stopped.
-    """
-    standardized = _stage("01-04", standardize, data)
-    corr = _stage("05", correlation_matrix, standardized)
-    eig = _stage("06", eigen_symmetric, corr.entries, correlation_input=True)
-    loadings = _stage("07-08", full_loadings, eig, data.labels)
-    report = _stage("09", minvar_count, eig, epsilon)
-    k = report.chosen
-    retained_loadings = _stage("11", truncate, loadings, k)
-    scores = _stage("12", project, standardized, eig.eigenvectors, k)
-    return PcaResult(
-        scores=scores,
-        retained=k,
-        eig=eig,
-        loadings=retained_loadings,
-        report=report,
-    )
 
 
 def pc_variable_determination(

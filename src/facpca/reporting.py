@@ -1,12 +1,14 @@
 """CSV ingestion, the analysis core, report generation and scree emission.
 
-The report and every CLI subcommand render from one ``Analysis``.  The
-report mirrors the reference table set: summary statistics, correlation
-and determination matrices, eigenvalues, explained variance, loadings,
-cumulative communality shares, the retention ledger, criteria comparison
-and truncated/rotated loadings.  Machine payloads carry 12 significant
-digits (so a written correlation matrix re-ingests to within 1e-9);
-percentage tables are printed with 2 decimals.
+The report and every CLI subcommand render from one ``Analysis``, which
+runs each pipeline stage at most once on a CSV file or an in-memory
+``DataMatrix``.  The report mirrors the reference table set: summary
+statistics, correlation and determination matrices, eigenvalues,
+explained variance, loadings, cumulative communality shares, the
+retention ledger, criteria comparison and truncated/rotated loadings.
+Machine payloads carry 12 significant digits (so a written correlation
+matrix re-ingests to within 1e-9); percentage tables are printed with 2
+decimals.
 
 All outputs are deterministic functions of the input bytes and the
 settings: fixed number formatting, fixed table order, no timestamps.
@@ -34,6 +36,7 @@ from .factors import (
     full_loadings,
     truncate,
 )
+from .pipeline import project
 from .retention import (
     RetentionReport,
     half_count,
@@ -48,6 +51,7 @@ from .stats import (
     DataMatrix,
     correlation_matrix,
     determination_matrix,
+    standardize,
     summarize,
 )
 from .varimax import RotationResult, varimax
@@ -334,13 +338,14 @@ def read_correlation_csv(path) -> CorrelationMatrix:
 class Analysis:
     """The pipeline over one input; each stage runs at most once, on first use.
 
-    ``kind`` is ``"raw"`` (observation CSV) or ``"corr"`` (correlation
-    matrix CSV).  Settings are checked on construction.  ``factors`` fixes
-    the count ``truncated`` keeps, in place of the min-variance rule's
-    count at ``epsilon``; ``rotation`` is None when not rotating.
+    ``source`` is a CSV path or an in-memory ``DataMatrix`` of observations.
+    ``kind`` is ``"raw"`` (observations) or ``"corr"`` (a correlation matrix
+    CSV).  Settings are checked on construction.  ``factors`` fixes the
+    count ``truncated`` keeps, in place of the min-variance rule's count at
+    ``epsilon``; ``rotation`` is None when not rotating.
     """
 
-    path: str | Path
+    source: str | Path | DataMatrix
     kind: str = "raw"
     epsilon: float = 0.51
     factors: int | None = None
@@ -350,6 +355,8 @@ class Analysis:
     def __post_init__(self) -> None:
         if self.kind not in ("raw", "corr"):
             raise DataError(f"unknown input kind {self.kind!r}")
+        if self.kind == "corr" and isinstance(self.source, DataMatrix):
+            raise DataError("a DataMatrix holds observations, not a correlation matrix")
         if not 0.5 < self.epsilon <= 1.0:
             raise ThresholdError(f"epsilon must lie in (0.5, 1], got {self.epsilon}")
         if self.factors is not None and self.factors < 1:
@@ -360,8 +367,10 @@ class Analysis:
     @cached_property
     def _observations(self) -> tuple[DataMatrix, int]:
         if self.kind != "raw":
-            raise DataError(f"{self.path}: a correlation matrix holds no observations")
-        return read_data_csv(self.path)
+            raise DataError(f"{self.source}: a correlation matrix holds no observations")
+        if isinstance(self.source, DataMatrix):
+            return self.source, 0
+        return read_data_csv(self.source)
 
     @property
     def data(self) -> DataMatrix:
@@ -375,7 +384,7 @@ class Analysis:
     @cached_property
     def corr(self) -> CorrelationMatrix:
         if self.kind == "corr":
-            return read_correlation_csv(self.path)
+            return read_correlation_csv(self.source)
         return correlation_matrix(self.data)
 
     @cached_property
@@ -402,6 +411,13 @@ class Analysis:
         if self.rotate == "none" or self.truncated.k < 2:
             return None
         return varimax(self.truncated, normalize=self.kaiser_normalize)
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """The standardized data projected onto the ``truncated.k`` leading eigenvectors."""
+        scores = project(standardize(self.data), self.eig.eigenvectors, self.truncated.k)
+        scores.flags.writeable = False
+        return scores
 
 
 # ---------------------------------------------------------------------------

@@ -165,37 +165,40 @@ def summarize(column) -> VariableStats:
     )
 
 
-def _centered_columns(data: DataMatrix) -> np.ndarray:
+def _unit_columns(data: DataMatrix) -> np.ndarray:
+    """Each column of ``data`` centered, then divided by its largest magnitude.
+
+    Neither correlations nor standardized values depend on a column's scale,
+    and squaring entries of at most 1 in magnitude cannot overflow.  A
+    constant column raises ``DegenerateColumnError``.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         centered = data.values - data.values.mean(axis=0)
     # a column whose sum or range exceeds the largest float is centered after
-    # scaling it by 1 / max|x|; correlations do not depend on a column's scale
+    # scaling it by 1 / max|x|
     for j in np.flatnonzero(~np.isfinite(centered).all(axis=0)):
         column = data.values[:, j] / np.max(np.abs(data.values[:, j]))
         centered[:, j] = column - column.mean()
     # second centering pass kills the rounding residue left by large offsets
     centered -= centered.mean(axis=0)
-    return centered
+    scales = np.max(np.abs(centered), axis=0)
+    for label, scale in zip(data.labels, scales):
+        if scale == 0.0:
+            raise DegenerateColumnError(f"column {label!r} is constant")
+    return centered / scales
 
 
 def standardize(data: DataMatrix) -> DataMatrix:
     """Shift each column to mean 0 and scale to biased standard deviation 1."""
-    centered = _centered_columns(data)
-    stds = np.sqrt(np.mean(centered**2, axis=0))
-    for label, s in zip(data.labels, stds):
-        if s == 0.0:
-            raise DegenerateColumnError(
-                f"column {label!r} is constant and cannot be standardized"
-            )
-    return DataMatrix(centered / stds, data.labels)
+    unit = _unit_columns(data)
+    return DataMatrix(unit / np.sqrt(np.mean(unit**2, axis=0)), data.labels)
 
 
 def correlation(a, b) -> float:
     """Pearson correlation of two equally long, nonconstant sequences.
 
-    Computed as the cosine of the angle between the centered vectors, so it
-    is exactly symmetric in its arguments and invariant under positive
-    affine rescaling of either one.
+    The off-diagonal entry of ``correlation_matrix`` on the two columns, so
+    it is exactly symmetric in its arguments.
     """
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
@@ -203,19 +206,8 @@ def correlation(a, b) -> float:
         raise SizeError(f"length mismatch: {x.shape} vs {y.shape}")
     x = _as_column(x, "first input")
     y = _as_column(y, "second input")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    # rescale to O(1) so the squared norms cannot under- or overflow
-    sx = float(np.max(np.abs(xc)))
-    sy = float(np.max(np.abs(yc)))
-    if sx == 0.0:
-        raise DegenerateColumnError("first input is constant")
-    if sy == 0.0:
-        raise DegenerateColumnError("second input is constant")
-    xc /= sx
-    yc /= sy
-    r = float(np.dot(xc, yc)) / math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
-    return min(1.0, max(-1.0, r))
+    pair = DataMatrix(np.column_stack([x, y]), ("first input", "second input"))
+    return float(correlation_matrix(pair).entries[0, 1])
 
 
 def correlation_matrix(data: DataMatrix) -> CorrelationMatrix:
@@ -224,17 +216,12 @@ def correlation_matrix(data: DataMatrix) -> CorrelationMatrix:
     Each pair is computed once from the centered columns and mirrored, so
     the result is exactly symmetric with a diagonal of exactly 1.
     """
-    centered = _centered_columns(data)
-    scales = np.max(np.abs(centered), axis=0)
-    for label, scale in zip(data.labels, scales):
-        if scale == 0.0:
-            raise DegenerateColumnError(f"column {label!r} is constant")
-    centered = centered / scales
-    sumsq = np.sum(centered**2, axis=0)
+    unit = _unit_columns(data)
+    sumsq = np.sum(unit**2, axis=0)
     n = data.n_variables
     upper = np.zeros((n, n))
     for i in range(n - 1):
-        dots = centered[:, i + 1 :].T @ centered[:, i]
+        dots = unit[:, i + 1 :].T @ unit[:, i]
         upper[i, i + 1 :] = dots / np.sqrt(sumsq[i] * sumsq[i + 1 :])
     entries = upper + upper.T + np.eye(n)
     np.clip(entries, -1.0, 1.0, out=entries)

@@ -4,6 +4,9 @@ Kept as the accuracy reference for the LAPACK engine (Jacobi's method is
 the more accurate one for small eigenvalues, Demmel & Veselic 1992):
 ``_jacobi`` runs the cyclic sweeps, and ``eigen_symmetric`` wraps it in the
 checks, ordering and sign normalization the library applied around it.
+The sweeps are built from plane rotations: ``plane_rotation`` embeds one
+in an identity matrix, and ``compose_rotation`` multiplies one into an
+accumulated rotation.
 """
 
 from __future__ import annotations
@@ -12,12 +15,61 @@ import math
 
 import numpy as np
 
-from facpca.eigen import PSD_TOL, EigenDecomposition, _apply_plane_inplace
-from facpca.errors import ConvergenceError, NotPositiveSemidefiniteError, ShapeError
+from facpca.eigen import PSD_TOL, EigenDecomposition
+from facpca.errors import ConvergenceError, FacpcaError, NotPositiveSemidefiniteError, ShapeError
 
 ROTATION_SKIP = 1e-13  # off-diagonal entries at or below this are left alone
 CONVERGENCE_TOL = 1e-12  # sweeps stop once max |off-diagonal| drops below this
 MAX_SWEEPS = 100
+
+
+class PlaneIndexError(FacpcaError):
+    """Invalid axis pair for a plane rotation."""
+
+
+def _check_plane(n: int, i: int, j: int) -> None:
+    if not (0 <= i < j < n):
+        raise PlaneIndexError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
+
+
+def plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
+    """Identity matrix with a rotation by ``angle`` embedded in plane (i, j).
+
+    The four modified elements are ``r[i, i] = r[j, j] = cos(angle)``,
+    ``r[i, j] = sin(angle)`` and ``r[j, i] = -sin(angle)``.
+    """
+    _check_plane(n, i, j)
+    c = math.cos(angle)
+    s = math.sin(angle)
+    r = np.eye(n)
+    r[i, i] = c
+    r[i, j] = s
+    r[j, i] = -s
+    r[j, j] = c
+    return r
+
+
+def _apply_plane_inplace(matrix: np.ndarray, i: int, j: int, c: float, s: float) -> None:
+    # matrix := matrix @ plane_rotation(n, i, j, angle); only columns i, j change
+    col_i = c * matrix[:, i] - s * matrix[:, j]
+    col_j = s * matrix[:, i] + c * matrix[:, j]
+    matrix[:, i] = col_i
+    matrix[:, j] = col_j
+
+
+def compose_rotation(accumulated: np.ndarray, i: int, j: int, angle: float) -> np.ndarray:
+    """Multiply an accumulated rotation by one more plane rotation.
+
+    Equivalent to ``accumulated @ plane_rotation(n, i, j, angle)`` but only
+    the two affected columns are recomputed.  The caller is responsible for
+    passing an orthogonal ``accumulated``; it is not re-checked here.
+    """
+    acc = np.array(accumulated, dtype=float)
+    if acc.ndim != 2 or acc.shape[0] != acc.shape[1]:
+        raise ShapeError("accumulated rotation must be a square matrix")
+    _check_plane(acc.shape[0], i, j)
+    _apply_plane_inplace(acc, i, j, math.cos(angle), math.sin(angle))
+    return acc
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:

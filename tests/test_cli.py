@@ -127,6 +127,8 @@ STAGES = (
     "eigen_symmetric",
     "minvar_count",
     "varimax",
+    "standardize",
+    "project",
 )
 
 
@@ -162,6 +164,13 @@ def test_simulate_runs_no_rotation_or_summary(tmp_path, capsys, raw_csv, stage_c
     assert main(["simulate", source, path, "--draws", "10", "--out", str(tmp_path)]) == 0
     assert "varimax" not in stage_calls and "summarize" not in stage_calls
     assert stage_calls.count("eigen_symmetric") == 1
+
+
+def test_pca_runs_each_stage_once(tmp_path, capsys, raw_csv, stage_calls):
+    assert main(["pca", "--input", raw_csv, "--out", str(tmp_path / "out")]) == 0
+    once = ("read_data_csv", "correlation_matrix", "eigen_symmetric", "minvar_count",
+            "standardize", "project")
+    assert Counter(stage_calls) == dict.fromkeys(once, 1)
 
 
 @pytest.mark.parametrize("source", ["--input", "--corr"])
@@ -212,6 +221,21 @@ def test_pca_subcommand(raw_csv, tmp_path, capsys):
     assert scores[0].startswith("PC1")
     assert len(scores) == 5  # header + 4 observations
     assert "retained components:" in capsys.readouterr().out
+
+
+def _printed_table(printed: str, title: str) -> str:
+    return printed.split(f"# {title}\n", 1)[1].split("\n\n", 1)[0]
+
+
+def test_pca_prints_the_retention_table_of_select(tmp_path, capsys):
+    # the last NrMinVar is rounding noise, so a second route to the
+    # eigenvalues can print another one
+    path = tmp_path / "raw.csv"
+    path.write_text("a,b,c\n7,5,5\n3,7,3\n3,8,2\n2,7,6\n0,0,3\n8,4,7\n", encoding="utf-8")
+    assert main(["select", "--input", str(path)]) == 0
+    selected = _printed_table(capsys.readouterr().out, "retention")
+    assert main(["pca", "--input", str(path), "--out", str(tmp_path / "pca")]) == 0
+    assert _printed_table(capsys.readouterr().out, "retention") == selected
 
 
 def test_scree_subcommand(tmp_path, capsys):
@@ -341,14 +365,12 @@ def test_missing_file_fails(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_degenerate_column_fails_with_stage_tag(tmp_path, capsys):
+def test_degenerate_column_fails_by_name(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     path.write_text("a,b\n1,3\n2,3\n5,3\n", encoding="utf-8")
     code = main(["pca", "--input", str(path), "--out", str(tmp_path)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "step (01-04)" in err
-    assert "'b'" in err
+    assert capsys.readouterr().err == "facpca pca: column 'b' is constant\n"
 
 
 def test_input_and_corr_are_mutually_exclusive(raw_csv):

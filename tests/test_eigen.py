@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jacobi_oracle
-from facpca import (
-    ConvergenceError,
-    NotPositiveSemidefiniteError,
-    PlaneIndexError,
-    ShapeError,
-    compose_rotation,
-    eigen_symmetric,
-    plane_rotation,
-)
+from facpca import ConvergenceError, NotPositiveSemidefiniteError, ShapeError, eigen_symmetric
+from jacobi_oracle import PlaneIndexError, compose_rotation, plane_rotation
 
 from reference_values import REF_EIGENVALUES, WEATHER_CORR
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from facpca import (
+    Analysis,
     DataMatrix,
     DegenerateColumnError,
     InconsistentModelError,
@@ -12,7 +13,6 @@ from facpca import (
     eigen_symmetric,
     full_loadings,
     pc_variable_determination,
-    pca_modified,
     project,
     simulate,
     standardize,
@@ -33,7 +33,7 @@ def weather_synthetic(weather_eig):
 
 @pytest.fixture(scope="module")
 def weather_run(weather_synthetic):
-    return pca_modified(weather_synthetic, 0.51)
+    return Analysis(weather_synthetic, epsilon=0.51)
 
 
 def _biased_variances(matrix):
@@ -88,7 +88,7 @@ def test_project_shape_checks():
 
 
 # ---------------------------------------------------------------------------
-# pca_modified
+# Analysis.scores
 
 
 def test_weather_synthetic_retains_three_components(weather_synthetic, weather_run):
@@ -98,17 +98,17 @@ def test_weather_synthetic_retains_three_components(weather_synthetic, weather_r
     from reference_values import WEATHER_CORR
 
     assert np.max(np.abs(sample.entries - WEATHER_CORR)) < 0.02
-    assert weather_run.retained == 3
+    assert weather_run.retention.chosen == 3
     assert weather_run.scores.shape == (20_000, 3)
-    assert weather_run.loadings.k == 3
+    assert weather_run.truncated.k == 3
 
 
 def test_perfectly_correlated_pair_collapses_to_one_component():
     rng = np.random.default_rng(43)
     x = rng.standard_normal(500)
     data = DataMatrix(np.column_stack([x, 2.0 * x]), ("x", "y"))
-    result = pca_modified(data, 0.51)
-    assert result.retained == 1
+    result = Analysis(data, epsilon=0.51)
+    assert result.retention.chosen == 1
     assert result.eig.eigenvalues[0] == pytest.approx(2.0, abs=1e-10)
     assert _biased_variances(result.scores)[0] == pytest.approx(2.0, abs=1e-8)
 
@@ -119,16 +119,17 @@ def test_independent_columns_need_every_component():
     # eigenvectors concentrate on single variables, which this seed gives
     rng = np.random.default_rng(3)
     data = DataMatrix(rng.standard_normal((10_000, 4)), ("a", "b", "c", "d"))
-    result = pca_modified(data, 0.51)
-    assert result.retained == 4
+    result = Analysis(data, epsilon=0.51)
+    assert result.retention.chosen == 4
 
 
-def test_stage_tag_on_failure():
+def test_constant_column_fails_by_name():
     data = DataMatrix(
         np.column_stack([np.arange(10.0), np.full(10, 3.0)]), ("ok", "flat")
     )
-    with pytest.raises(DegenerateColumnError, match=r"step \(01-04\)"):
-        pca_modified(data, 0.51)
+    with pytest.raises(DegenerateColumnError) as excinfo:
+        Analysis(data, epsilon=0.51).scores
+    assert str(excinfo.value) == "column 'flat' is constant"
 
 
 def test_result_invariants(weather_run):

@@ -193,6 +193,9 @@ def test_analysis_validation():
         Analysis("x.csv", "spreadsheet")
     with pytest.raises(SizeError, match="factor count override must be at least 1"):
         Analysis("x.csv", factors=0)
+    observations = DataMatrix(np.eye(3), ("a", "b", "c"))
+    with pytest.raises(DataError, match="a DataMatrix holds observations, not a correlation matrix"):
+        Analysis(observations, "corr")
 
 
 def test_run_report_validation(tmp_path):

@@ -214,6 +214,13 @@ def test_standardize_preserves_shape_and_labels():
     assert result.labels == data.labels
 
 
+def test_standardize_a_spread_beyond_the_square_root_of_the_largest_float():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = standardize(_matrix([[1e200, -1e200, 0.0]]))
+    assert_allclose(result.column(0), [math.sqrt(1.5), -math.sqrt(1.5), 0.0], rtol=1e-15, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # correlation
 
@@ -238,6 +245,16 @@ def test_correlation_errors():
         correlation([1, 1, 1], [1, 2, 3])
     with pytest.raises(DegenerateColumnError):
         correlation([1, 2, 3], [5, 5, 5])
+
+
+@pytest.mark.parametrize("column", WIDE_COLUMNS)
+def test_correlation_of_a_range_beyond_the_largest_float(column):
+    x = np.array(column)
+    y = np.arange(1.0, x.size + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = correlation(x, y)
+    assert r == pytest.approx(np.corrcoef(x / np.max(np.abs(x)), y)[0, 1], rel=0.0, abs=1e-14)
 
 
 finite_floats = st.floats(
