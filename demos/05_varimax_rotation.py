@@ -3,9 +3,13 @@
 An orthogonal rotation of the retained factors changes neither the
 communalities nor the model fit, but it can concentrate each variable's
 loadings on few factors, which makes the factors interpretable.  Varimax
-picks, plane by plane, the angle that maximizes the variance of the squared
-loadings.  With four factors the weather variables separate cleanly: each
-variable ends up dominated by a single factor.
+maximizes the variance of the squared loadings.  It first sweeps the factor
+planes, picking in each the angle that maximizes that variance; a rotation
+that those sweeps do not settle within 8 continues with Kaiser's SVD
+iterations and ends with pairwise sweeps that certify that no plane can
+improve it.  The weather rotation settles within the first sweeps.  With
+four factors the weather variables separate cleanly: each variable ends up
+dominated by a single factor.
 """
 
 import numpy as np

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,17 @@ class DataMatrix:
 
     def column(self, index: int) -> np.ndarray:
         return self.values[:, index]
+
+    @cached_property
+    def _unit(self) -> np.ndarray:
+        """``_unit_columns`` of this matrix, computed on first use and read-only.
+
+        ``standardize`` and ``correlation_matrix`` both start from it, so a
+        matrix that gets both is centered and scaled once.
+        """
+        unit = _unit_columns(self)
+        unit.flags.writeable = False
+        return unit
 
 
 @dataclass(frozen=True)
@@ -190,7 +202,7 @@ def _unit_columns(data: DataMatrix) -> np.ndarray:
 
 def standardize(data: DataMatrix) -> DataMatrix:
     """Shift each column to mean 0 and scale to biased standard deviation 1."""
-    unit = _unit_columns(data)
+    unit = data._unit
     return DataMatrix(unit / np.sqrt(np.mean(unit**2, axis=0)), data.labels)
 
 
@@ -216,7 +228,7 @@ def correlation_matrix(data: DataMatrix) -> CorrelationMatrix:
     Each pair is computed once from the centered columns and mirrored, so
     the result is exactly symmetric with a diagonal of exactly 1.
     """
-    unit = _unit_columns(data)
+    unit = data._unit
     sumsq = np.sum(unit**2, axis=0)
     n = data.n_variables
     upper = np.zeros((n, n))

@@ -1,11 +1,24 @@
-"""Varimax rotation of a loading matrix via pairwise plane rotations.
+"""Varimax rotation of a loading matrix, certified by pairwise plane rotations.
 
-Each sweep visits every factor pair in lexicographic order and rotates the
-pair by the analytically optimal angle.  A plane rotation is applied only
-when it does not decrease the objective, so the objective trace is
-non-decreasing.  Rows are optionally normalized to unit length before the
-sweeps and restored afterwards (Kaiser normalization), which is the
-convention assumed by the reference tables.
+A pairwise sweep visits every factor pair in lexicographic order and
+rotates the pair by the analytically optimal angle; a plane rotation is
+applied only when it does not decrease the objective.  ``varimax`` runs
+three phases on the (optionally Kaiser-normalized) rows:
+
+1. Warm-up: up to ``WARM_SWEEPS`` pairwise sweeps.  Small problems converge
+   here, and a budget of at most ``WARM_SWEEPS`` sweeps ends here.
+2. SVD iterations (Kaiser 1958, the form of R's ``stats::varimax``): the
+   rotation becomes ``U V'`` from the SVD of the objective's gradient
+   mapped back onto the warm-up's loadings.  The phase ends before the
+   first iteration whose relative gain is below ``SVD_TOL``, or after
+   ``SVD_MAX`` iterations.
+3. Certificate: pairwise sweeps on the budget left, until one sweep
+   improves the objective by less than ``tol``: no plane rotation gains.
+
+Every phase keeps only steps that do not lower the objective, so the
+objective trace is non-decreasing.  Rows are optionally normalized to unit
+length before the rotation and restored afterwards (Kaiser normalization),
+which is the convention assumed by the reference tables.
 """
 
 from __future__ import annotations
@@ -26,15 +39,23 @@ __all__ = [
 ]
 
 ANGLE_EPS = 1e-14  # both angle terms below this -> the plane is left alone
+WARM_SWEEPS = 8  # pairwise sweeps before the SVD iterations take over
+SVD_TOL = 1e-11  # relative objective gain below which an SVD iteration is dropped
+SVD_MAX = 5000  # SVD iterations at most, before the certificate sweeps
 
 
 @dataclass(frozen=True)
 class RotationResult:
-    """Rotated loadings, the accumulated k x k rotation and the sweep trace.
+    """Rotated loadings, the accumulated k x k rotation and the objective trace.
 
     ``rotated.entries == original.entries @ rotation`` up to rounding, and
-    the per-row sums of squares (communalities) are unchanged.  ``converged``
-    is false when the sweep budget ran out before the objective settled.
+    the per-row sums of squares (communalities) are unchanged.
+    ``sweeps_used`` counts pairwise sweeps (warm-up and certificate), and
+    ``converged`` is false when their budget ran out before one sweep left
+    the objective settled.  ``objective_trace`` holds the starting
+    objective, then one entry per warm-up sweep, per kept SVD iteration and
+    per certificate sweep, in that order; it has
+    ``1 + sweeps_used + svd_iterations`` entries and never decreases.
     """
 
     rotated: LoadingMatrix
@@ -105,49 +126,36 @@ def _plane_angle(xs: np.ndarray, ys: np.ndarray, n: int) -> float | None:
     return math.atan2(numerator, denominator) / 4.0
 
 
-def varimax(
-    loadings: LoadingMatrix,
-    normalize: bool = True,
-    max_sweeps: int = 50,
-    tol: float = 1e-9,
-) -> RotationResult:
-    """Rotate a truncated loading matrix towards simple structure.
+def _objective(squares: np.ndarray, sums: np.ndarray, n_rows: int) -> float:
+    """The sum of ``_column_objective`` over the rows of a factor-major array, bit for bit.
 
-    Parameters
-    ----------
-    loadings:
-        n x k loading matrix with k >= 2.
-    normalize:
-        Apply Kaiser normalization: divide each row by its norm before the
-        sweeps and restore the lengths afterwards.  Rows that are entirely
-        zero are exempt and pass through unchanged.
-    max_sweeps:
-        Sweep budget; when exhausted the result carries ``converged=False``.
-    tol:
-        Relative objective improvement per full sweep below which the
-        rotation is considered converged.
+    Takes the array's squares and their row sums, which the caller reuses.
     """
-    if loadings.k < 2:
-        raise SizeError("varimax needs at least two factors")
-    working = np.array(loadings.entries, dtype=float)
-    n, k = working.shape
-    row_norms = np.sqrt(np.sum(working**2, axis=1))
-    active = row_norms > 0.0
-    if normalize:
-        working[active] /= row_norms[active, None]
+    fourths = (squares * squares).sum(axis=1).tolist()
+    return sum(n_rows * a - b**2 for a, b in zip(fourths, sums.tolist()))
+
+
+def _pairwise_sweeps(
+    columns: np.ndarray,
+    turns: np.ndarray,
+    active: np.ndarray,
+    budget: int,
+    tol: float,
+    trace: list[float],
+) -> tuple[int, bool]:
+    """Up to ``budget`` pairwise sweeps on ``columns`` and ``turns``, in place.
+
+    Factor j is row j of ``columns`` and of ``turns`` (the rotation's column
+    j), so each plane reads and writes contiguous rows.  ``trace[-1]`` is the
+    objective of ``columns`` on entry; each sweep appends its objective.
+    Returns the sweeps run and whether the last one improved the objective
+    by less than ``tol`` relative to its start.
+    """
+    k, n = columns.shape
     n_active = int(np.count_nonzero(active))
-    if max_sweeps > 0 and n_active < 2:
-        raise SizeError(f"need at least 2 points per plane, got {n_active}")
-    # factor j is row j of `columns` and of `turns` (the rotation's column j),
-    # so each plane reads and writes contiguous rows
-    columns = working.T.copy()
-    turns = np.eye(k)
     objectives = [_column_objective(columns[j], n) for j in range(k)]
-    objective = sum(objectives)
-    trace = [objective]
-    converged = False
-    sweeps = 0
-    for _ in range(max_sweeps):
+    objective = trace[-1]
+    for sweep in range(1, budget + 1):
         for p in range(k - 1):
             x = columns[p]
             for q in range(p + 1, k):
@@ -174,15 +182,102 @@ def varimax(
                 rot_q = -s * turns[p] + c * turns[q]
                 turns[p] = rot_p
                 turns[q] = rot_q
-        sweeps += 1
         new_objective = sum(objectives)
         trace.append(new_objective)
         improvement = new_objective - objective
         scale = abs(objective) if objective != 0.0 else 1.0
         objective = new_objective
         if improvement < tol * scale:
-            converged = True
+            return sweep, True
+    return budget, False
+
+
+def _svd_iterations(columns: np.ndarray, turns: np.ndarray, trace: list[float]) -> None:
+    """Kaiser's SVD iterations on ``columns`` and ``turns``, in place.
+
+    With ``X = columns.T`` on entry, each iteration takes ``T = U V'`` from
+    the SVD of ``X'(Z**3 - Z diag(mean(Z**2)))`` at ``Z = X T``; the second
+    factor is the objective's gradient at ``Z`` up to a constant.  An
+    iteration is kept when it raises the objective by at least ``SVD_TOL``
+    relative; the first that does not is dropped and ends the phase, as
+    does ``SVD_MAX``.  Appends each kept objective to ``trace``.
+    """
+    k, n = columns.shape
+    base = columns.copy()
+    rotation, current = np.eye(k), base
+    squares = current * current
+    sums = squares.sum(axis=1)
+    objective = trace[-1]
+    for _ in range(SVD_MAX):
+        gradient = current * (squares - (sums / n)[:, None])
+        u, _, vt = np.linalg.svd(base @ gradient.T)
+        step = u @ vt
+        candidate = step.T @ base
+        candidate_squares = candidate * candidate
+        candidate_sums = candidate_squares.sum(axis=1)
+        gained = _objective(candidate_squares, candidate_sums, n)
+        scale = abs(objective) if objective != 0.0 else 1.0
+        if gained - objective < SVD_TOL * scale:
             break
+        rotation, current, objective = step, candidate, gained
+        squares, sums = candidate_squares, candidate_sums
+        trace.append(objective)
+    if current is not base:
+        columns[:] = current
+        turns[:] = rotation.T @ turns
+
+
+def varimax(
+    loadings: LoadingMatrix,
+    normalize: bool = True,
+    max_sweeps: int = 50,
+    tol: float = 1e-9,
+) -> RotationResult:
+    """Rotate a truncated loading matrix towards simple structure.
+
+    Runs up to ``WARM_SWEEPS`` pairwise sweeps; when they neither converge
+    nor use up ``max_sweeps``, SVD iterations take the rotation close to a
+    stationary point, and pairwise sweeps resume on the budget left until
+    one sweep improves the objective by less than ``tol``.
+
+    Parameters
+    ----------
+    loadings:
+        n x k loading matrix with k >= 2.
+    normalize:
+        Apply Kaiser normalization: divide each row by its norm before the
+        rotation and restore the lengths afterwards.  Rows that are entirely
+        zero are exempt and pass through unchanged.
+    max_sweeps:
+        Budget of pairwise sweeps; when exhausted the result carries
+        ``converged=False``.
+    tol:
+        Relative objective improvement per full pairwise sweep below which
+        the rotation is considered converged.
+    """
+    if loadings.k < 2:
+        raise SizeError("varimax needs at least two factors")
+    working = np.array(loadings.entries, dtype=float)
+    n, k = working.shape
+    row_norms = np.sqrt(np.sum(working**2, axis=1))
+    active = row_norms > 0.0
+    if normalize:
+        working[active] /= row_norms[active, None]
+    n_active = int(np.count_nonzero(active))
+    if max_sweeps > 0 and n_active < 2:
+        raise SizeError(f"need at least 2 points per plane, got {n_active}")
+    columns = working.T.copy()
+    turns = np.eye(k)
+    trace = [sum(_column_objective(columns[j], n) for j in range(k))]
+    sweeps, converged = _pairwise_sweeps(
+        columns, turns, active, min(max_sweeps, WARM_SWEEPS), tol, trace
+    )
+    if not converged and sweeps < max_sweeps:
+        _svd_iterations(columns, turns, trace)
+        certified, converged = _pairwise_sweeps(
+            columns, turns, active, max_sweeps - sweeps, tol, trace
+        )
+        sweeps += certified
     working = np.ascontiguousarray(columns.T)
     if normalize:
         working[active] *= row_norms[active, None]

@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 
@@ -7,9 +8,11 @@ import pytest
 
 import facpca.cli
 import facpca.reporting
+import facpca.stats
 from facpca.cli import main
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import read_data_csv
+from facpca import varimax
 
 import numeric_csv_oracle
 from conftest import dense_factor_correlation
@@ -104,19 +107,19 @@ def test_percent_outside_range_is_rejected(tmp_path, capsys, command, percent):
 
 
 @pytest.mark.parametrize("command", ["report", "fa"])
-def test_unconverged_varimax_is_reported(tmp_path, capsys, command):
-    # 8 factors of a dense 40-variable model: Varimax needs over 100 sweeps
+def test_unconverged_varimax_is_reported(tmp_path, capsys, monkeypatch, command):
+    # 8 factors of a dense 40-variable model: the pairwise sweeps alone need over 100
     corr = dense_factor_correlation(1, 40, 10)
     labels = [f"v{i}" for i in range(40)]
     lines = ["," + ",".join(labels)]
     lines += [label + "," + ",".join(repr(float(v)) for v in row) for label, row in zip(labels, corr)]
     path = tmp_path / "corr.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    warning = "warning: varimax stopped after 50 sweeps without converging\n"
     assert main([command, "--corr", str(path), *_out_flag(command, tmp_path / "out")]) == 0
-    assert capsys.readouterr().err == warning
-    assert main([command, "--corr", FIXTURE, *_out_flag(command, tmp_path / "weather")]) == 0
     assert capsys.readouterr().err == ""
+    monkeypatch.setattr(facpca.reporting, "varimax", functools.partial(varimax, max_sweeps=1))
+    assert main([command, "--corr", FIXTURE, *_out_flag(command, tmp_path / "weather")]) == 0
+    assert capsys.readouterr().err == "warning: varimax stopped after 1 sweeps without converging\n"
 
 
 STAGES = (
@@ -166,10 +169,17 @@ def test_simulate_runs_no_rotation_or_summary(tmp_path, capsys, raw_csv, stage_c
     assert stage_calls.count("eigen_symmetric") == 1
 
 
-def test_pca_runs_each_stage_once(tmp_path, capsys, raw_csv, stage_calls):
+def test_pca_runs_each_stage_once(tmp_path, capsys, monkeypatch, raw_csv, stage_calls):
+    kernel = facpca.stats._unit_columns
+
+    def counted(data):
+        stage_calls.append("_unit_columns")
+        return kernel(data)
+
+    monkeypatch.setattr(facpca.stats, "_unit_columns", counted)
     assert main(["pca", "--input", raw_csv, "--out", str(tmp_path / "out")]) == 0
     once = ("read_data_csv", "correlation_matrix", "eigen_symmetric", "minvar_count",
-            "standardize", "project")
+            "standardize", "project", "_unit_columns")  # one centering for both users
     assert Counter(stage_calls) == dict.fromkeys(once, 1)
 
 
