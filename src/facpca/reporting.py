@@ -7,8 +7,9 @@ statistics, correlation and determination matrices, eigenvalues,
 explained variance, loadings, cumulative communality shares, the
 retention ledger, criteria comparison and truncated/rotated loadings.
 Machine payloads carry 12 significant digits (so a written correlation
-matrix re-ingests to within 1e-9); percentage tables are printed with 2
-decimals.
+matrix re-ingests to within 1e-9); percentages carry 2 decimals.  Every
+number of a table or file is formatted with its block of rows, by one
+``%`` in ``_format_block``.
 
 All outputs are deterministic functions of the input bytes and the
 settings: fixed number formatting, fixed table order, no timestamps.
@@ -21,7 +22,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -63,8 +65,6 @@ __all__ = [
     "read_correlation_csv",
     "run_report",
     "emit_scree",
-    "format_number",
-    "format_pct",
     "write_numeric_csv",
     "summary_table",
     "matrix_table",
@@ -88,8 +88,21 @@ class ReportTable:
     rows: list[list[str]]
 
 
-def format_number(value) -> str:
-    return format(float(value), ".12g")
+def _format_block(values, line_template: str) -> str:
+    """Each row of the 2-D ``values`` through ``line_template``, all rows by one ``%``."""
+    values = np.asarray(values)
+    return line_template * len(values) % tuple(values.ravel().tolist())
+
+
+def _labeled_table(header, labels, *blocks) -> ReportTable:
+    """One row per label, its cells the rows of ``blocks`` from the top.
+
+    Each block is ``(values, templates)``: a 2-D array and its cells' ``%``
+    templates.  No number prints a comma or line break, so the lines split.
+    """
+    text = "".join(_format_block(v, ",".join(cells) + "\n") for v, cells in blocks)
+    rows = [[label, *line.split(",")] for label, line in zip(labels, text.splitlines())]
+    return ReportTable(list(header), rows)
 
 
 # rows formatted per string operation; bounds the text held at once
@@ -99,21 +112,15 @@ CSV_BLOCK_ROWS = 4096
 def write_numeric_csv(path, labels, values) -> None:
     """Write a header of labels, then each row of ``values`` with its cells as ``%.12g``.
 
-    The bytes are those of ``format_number`` per cell through ``csv.writer``:
-    ``%`` and ``format()`` print a float with the same routine, and no
-    number needs csv quoting.  Each block of rows is formatted by one ``%``.
+    ``csv.writer`` quotes the labels; no number needs quoting, so the rows
+    go through ``_format_block``, ``CSV_BLOCK_ROWS`` rows at a time.
     """
     values = np.asarray(values, dtype=float)
     row = ",".join(["%.12g"] * values.shape[1]) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f, lineterminator="\n").writerow(labels)
         for start in range(0, len(values), CSV_BLOCK_ROWS):
-            block = values[start : start + CSV_BLOCK_ROWS]
-            f.write(row * len(block) % tuple(block.ravel().tolist()))
-
-
-def format_pct(fraction) -> str:
-    return f"{float(fraction) * 100.0:.2f}"
+            f.write(_format_block(values[start : start + CSV_BLOCK_ROWS], row))
 
 
 def _read_text(path) -> tuple[bytes, str]:
@@ -183,6 +190,14 @@ def _lines(raw: bytes):
         stop = raw.find(b"\n", start) + 1 or len(raw)
         yield raw[start:stop].decode()
         start = stop
+
+
+def _distinct(path, labels: tuple[str, ...]) -> tuple[str, ...]:
+    """``labels``, checked to hold no label twice."""
+    repeated = [label for label, count in Counter(labels).items() if count > 1]
+    if repeated:
+        raise DataError(f"{path}: duplicate label {repeated[0]!r}")
+    return labels
 
 
 def _header(path, raw: bytes) -> tuple[tuple[str, ...], int, int]:
@@ -257,10 +272,11 @@ def read_data_csv(path) -> tuple[DataMatrix, int]:
     """Read a raw observation CSV: a header of labels, then numeric rows.
 
     Cells are stripped and blank rows skipped; the first row left is the
-    header.  A cell is a number when ``float()`` accepts it.  Any row
-    containing a missing, non-numeric or non-finite cell is dropped; the
-    count of dropped rows is returned alongside the matrix.  A row with
-    the wrong number of fields is a parse error, not a droppable row.
+    header, whose labels must be distinct.  A cell is a number when
+    ``float()`` accepts it.  Any row containing a missing, non-numeric or
+    non-finite cell is dropped; the count of dropped rows is returned
+    alongside the matrix.  A row with the wrong number of fields is a parse
+    error, not a droppable row.
     """
     raw, text = _read_text(path)
     buf = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
@@ -273,10 +289,11 @@ def read_data_csv(path) -> tuple[DataMatrix, int]:
         # quoted fields may span lines: scan only a body free of quotes
         scan = raw.rfind(b'"') + 1 < breaks[lines]
     if scan:
+        _distinct(path, labels)
         values, dropped = _parse_body(path, buf, breaks, len(labels), lines, lines - records)
     else:
         rows = _csv_rows(path, text)
-        labels = tuple(rows[0][1])
+        labels = _distinct(path, tuple(rows[0][1]))
         _, kept, dropped = _parse_rows(path, rows[1:], len(labels))
         values = np.array(kept).reshape(-1, len(labels))
     if len(values) < 2:
@@ -289,16 +306,16 @@ def read_data_csv(path) -> tuple[DataMatrix, int]:
 def read_correlation_csv(path) -> CorrelationMatrix:
     """Read a labeled square correlation matrix CSV.
 
-    Layout: a header row (corner cell plus n labels) and n rows, each a
-    label followed by n values.  Asymmetry up to 1e-6 is repaired by
-    averaging; the diagonal must be within 1e-6 of 1 and is then forced to
-    exactly 1.
+    Layout: a header row (corner cell plus n distinct labels) and n rows,
+    each a label followed by n values.  Asymmetry up to 1e-6 is repaired
+    by averaging; the diagonal must be within 1e-6 of 1 and is then forced
+    to exactly 1.
     """
     rows = _csv_rows(path, _read_text(path)[1])
     _, header = rows[0]
     if len(header) < 2:
         raise ParseError(f"{path}: header must hold a corner cell and the labels")
-    labels = tuple(header[1:])
+    labels = _distinct(path, tuple(header[1:]))
     n = len(labels)
     if len(rows) - 1 != n:
         raise DataError(f"{path}: expected {n} matrix rows, found {len(rows) - 1}")
@@ -425,42 +442,35 @@ class Analysis:
 
 
 def summary_table(data: DataMatrix) -> ReportTable:
-    stats = [summarize(data.column(i)) for i in range(data.n_variables)]
-    rows = [
-        ["Mean"] + [format_number(s.mean) for s in stats],
-        ["Median"] + [format_number(s.median) for s in stats],
-        ["Mode"] + [format_number(s.mode) for s in stats],
-        ["Standard deviation"] + [format_number(s.std_dev) for s in stats],
-        ["Minimum"] + [format_number(s.minimum) for s in stats],
-        ["Maximum"] + [format_number(s.maximum) for s in stats],
-    ]
-    return ReportTable(["statistic", *data.labels], rows)
+    # the fields of VariableStats, in the order of the row labels
+    stats = [astuple(summarize(data.column(i))) for i in range(data.n_variables)]
+    return _labeled_table(
+        ["statistic", *data.labels],
+        ["Mean", "Median", "Mode", "Standard deviation", "Minimum", "Maximum"],
+        (np.array(stats, dtype=float).T, ["%.12g"] * data.n_variables),
+    )
 
 
-def matrix_table(labels, matrix, cell) -> ReportTable:
-    rows = [
-        [label, *(cell(value) for value in matrix[i])] for i, label in enumerate(labels)
-    ]
-    return ReportTable(["", *labels], rows)
+def matrix_table(labels, matrix, template: str) -> ReportTable:
+    """The square ``matrix`` with each cell formatted by ``template``."""
+    return _labeled_table(["", *labels], labels, (matrix, [template] * len(labels)))
 
 
 def correlation_tables(corr: CorrelationMatrix) -> tuple[ReportTable, ReportTable]:
     """The correlation matrix and its entrywise squares, in percent."""
     return (
-        matrix_table(corr.labels, corr.entries, format_number),
-        matrix_table(corr.labels, determination_matrix(corr), format_pct),
+        matrix_table(corr.labels, corr.entries, "%.12g"),
+        matrix_table(corr.labels, determination_matrix(corr) * 100.0, "%.2f"),
     )
 
 
 def explained_variance_table(eigenvalues) -> ReportTable:
     table = variance_table(eigenvalues)
-    columns = zip(table.eigenvalue, table.cumulative_eigenvalue, table.pct, table.cumulative_pct)
-    return ReportTable(
+    columns = (table.eigenvalue, table.cumulative_eigenvalue, table.pct, table.cumulative_pct)
+    return _labeled_table(
         ["component", "eigenvalue", "cumulative_eigenvalue", "pct", "cumulative_pct"],
-        [
-            [str(i), format_number(value), format_number(total), f"{pct:.2f}", f"{total_pct:.2f}"]
-            for i, (value, total, pct, total_pct) in enumerate(columns, start=1)
-        ],
+        [str(i) for i in range(1, len(table.eigenvalue) + 1)],
+        (np.column_stack(columns), ["%.12g", "%.12g", "%.2f", "%.2f"]),
     )
 
 
@@ -470,56 +480,53 @@ def _factor_header(k: int) -> list[str]:
 
 def loading_table(loadings: LoadingMatrix, with_communality: bool) -> ReportTable:
     header = ["", *_factor_header(loadings.k)]
-    common = communalities(loadings)
+    values, cells = loadings.entries, ["%.12g"] * loadings.k
     if with_communality:
         header.append("communality_pct")
-    rows = []
-    for i, label in enumerate(loadings.variable_labels):
-        row = [label, *(format_number(v) for v in loadings.entries[i])]
-        if with_communality:
-            row.append(format_pct(common[i]))
-        rows.append(row)
-    return ReportTable(header, rows)
+        values = np.column_stack((values, communalities(loadings) * 100.0))
+        cells.append("%.2f")
+    return _labeled_table(header, loadings.variable_labels, (values, cells))
 
 
 def common_variance_table(loadings: LoadingMatrix) -> ReportTable:
-    header = ["", *_factor_header(loadings.k), "communality_pct"]
-    common = communalities(loadings)
-    rows = []
-    for i, label in enumerate(loadings.variable_labels):
-        rows.append(
-            [label, *(format_pct(v**2) for v in loadings.entries[i]), format_pct(common[i])]
-        )
-    return ReportTable(header, rows)
+    # libm pow, not x * x: the two differ by an ulp in about 0.1% of squares,
+    # enough to move a printed percentage such as 42.34 (0.6506535176267012**2)
+    values = np.column_stack((np.float_power(loadings.entries, 2), communalities(loadings)))
+    return _labeled_table(
+        ["", *_factor_header(loadings.k), "communality_pct"],
+        loadings.variable_labels,
+        (values * 100.0, ["%.2f"] * (loadings.k + 1)),
+    )
 
 
 def cumulative_table(loadings: LoadingMatrix) -> ReportTable:
     cumulative = cumulative_communalities(loadings)
-    header = ["", *_factor_header(loadings.k)]
-    rows = [
-        [label, *(format_pct(v) for v in cumulative[i])]
-        for i, label in enumerate(loadings.variable_labels)
-    ]
-    rows.append(["Average", *(format_pct(v) for v in cumulative.mean(axis=0))])
-    return ReportTable(header, rows)
+    values = np.vstack((cumulative, cumulative.mean(axis=0))) * 100.0
+    return _labeled_table(
+        ["", *_factor_header(loadings.k)],
+        [*loadings.variable_labels, "Average"],
+        (values, ["%.2f"] * loadings.k),
+    )
 
 
 def retention_table(report: RetentionReport) -> ReportTable:
-    return ReportTable(
-        ["", *(str(i + 1) for i in range(len(report.min_var)))],
-        [
-            ["EigVal", *(format_pct(v) for v in report.eig_pct)],
-            ["MinVar", *(format_pct(v) for v in report.min_var)],
-            ["AverVar", *(format_pct(v) for v in report.aver_var)],
-            ["NrMinVar", *(str(v) for v in report.nr_min_var)],
-        ],
+    n = len(report.min_var)
+    return _labeled_table(
+        ["", *(str(i + 1) for i in range(n))],
+        ["EigVal", "MinVar", "AverVar", "NrMinVar"],
+        (np.array([report.eig_pct, report.min_var, report.aver_var]) * 100.0, ["%.2f"] * n),
+        ([report.nr_min_var], ["%d"] * n),
     )
+
+
+def _check_percent(percent: float) -> None:
+    if not 0.0 < percent <= 100.0:
+        raise ThresholdError(f"percent threshold must lie in (0, 100], got {percent}")
 
 
 def criteria_table(analysis: Analysis, percent: float) -> ReportTable:
     """The factor count of each criterion; ``percent`` is the explained-variance threshold."""
-    if not 0.0 < percent <= 100.0:
-        raise ThresholdError(f"percent threshold must lie in (0, 100], got {percent}")
+    _check_percent(percent)
     eigenvalues = analysis.eig.eigenvalues
     return ReportTable(
         ["criterion", "factors"],
@@ -544,12 +551,9 @@ def run_report(
     """
     if output_format not in ("csv", "json"):
         raise DataError(f"unknown output format {output_format!r}")
-    bundle = {}
-    if analysis.kind == "raw":
-        bundle["summary_statistics"] = summary_table(analysis.data)
-    correlation, determination = correlation_tables(analysis.corr)
-    bundle["correlation_matrix"] = correlation
-    bundle["determination_matrix"] = determination
+    _check_percent(percent)
+    bundle = {"summary_statistics": summary_table(analysis.data)} if analysis.kind == "raw" else {}
+    bundle["correlation_matrix"], bundle["determination_matrix"] = correlation_tables(analysis.corr)
     explained = explained_variance_table(analysis.eig.eigenvalues)
     bundle["eigenvalues"] = ReportTable(explained.header[:2], [row[:2] for row in explained.rows])
     bundle["explained_variance"] = explained
@@ -568,9 +572,7 @@ def run_report(
     if output_format == "csv":
         for name, table in bundle.items():
             with open(output_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as f:
-                writer = csv.writer(f, lineterminator="\n")
-                writer.writerow(table.header)
-                writer.writerows(table.rows)
+                csv.writer(f, lineterminator="\n").writerows([table.header, *table.rows])
     else:
         payload = {name: {"header": t.header, "rows": t.rows} for name, t in bundle.items()}
         with open(output_dir / "report.json", "w", encoding="utf-8") as f:
@@ -594,11 +596,8 @@ def emit_scree(eigenvalues, path) -> tuple[Path, Path]:
     points = scree_data(eigenvalues)
     svg_path = Path(path)
     txt_path = svg_path.with_suffix(".txt")
-    with open(txt_path, "w", encoding="utf-8") as f:
-        for index, value in points:
-            f.write(f"{index} {format_number(value)}\n")
-    with open(svg_path, "w", encoding="utf-8") as f:
-        f.write(_scree_svg(points))
+    txt_path.write_text(_format_block(points, "%d %.12g\n"), encoding="utf-8")
+    svg_path.write_text(_scree_svg(points), encoding="utf-8")
     return svg_path, txt_path
 
 

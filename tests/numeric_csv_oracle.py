@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 
-from facpca.reporting import format_number
+from table_oracle import format_number
 
 
 def write_numeric_csv(path, labels, values) -> None:

@@ -106,6 +106,28 @@ def test_percent_outside_range_is_rejected(tmp_path, capsys, command, percent):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["--input", "--corr"])
+def test_report_rejects_bad_percent_before_reading(tmp_path, capsys, stage_calls, source):
+    argv = ["report", source, str(tmp_path / "missing.csv"), "--percent", "0",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "facpca report: percent threshold must lie in (0, 100], got 0.0\n"
+    )
+    assert stage_calls == []
+
+
+@pytest.mark.parametrize(
+    "source, text",
+    [("--input", "a,a\n1,2\n3,5\n"), ("--corr", ",a,a\na,1,0.5\na,0.5,1\n")],
+)
+def test_duplicate_label_names_file_and_label(tmp_path, capsys, source, text):
+    path = tmp_path / "dup.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", source, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"facpca report: {path}: duplicate label 'a'\n"
+
+
 @pytest.mark.parametrize("command", ["report", "fa"])
 def test_unconverged_varimax_is_reported(tmp_path, capsys, monkeypatch, command):
     # 8 factors of a dense 40-variable model: the pairwise sweeps alone need over 100

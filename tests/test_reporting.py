@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -89,6 +90,17 @@ def test_raw_csv_too_few_usable_rows(tmp_path):
 def test_missing_file_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError, match="not found"):
         read_data_csv(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["b,a, a\n1,2,3\n4,5,6\n", 'b,a,a\n1,2,3\n"4",5,6\n', "b,a,a\r1,2,3\r4,5,6\r"],
+    ids=["scanned", "quoted-body", "bare-cr"],
+)
+def test_raw_csv_duplicate_label_names_it(tmp_path, text):
+    path = _write(tmp_path / "raw.csv", text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: duplicate label 'a'$"):
+        read_data_csv(path)
 
 
 def test_correlation_csv_requires_matching_labels(tmp_path):
