@@ -8,8 +8,9 @@ explained variance, loadings, cumulative communality shares, the
 retention ledger, criteria comparison and truncated/rotated loadings.
 Machine payloads carry 12 significant digits (so a written correlation
 matrix re-ingests to within 1e-9); percentages carry 2 decimals.  Every
-number of a table or file is formatted with its block of rows, by one
-``%`` in ``_format_block``.
+number of a table or file is formatted with its block of rows in
+``_format_block``: a numpy digit kernel prints the rows of ``%.12g``
+cells, and one ``%`` over the block prints every other cell.
 
 All outputs are deterministic functions of the input bytes and the
 settings: fixed number formatting, fixed table order, no timestamps.
@@ -89,9 +90,165 @@ class ReportTable:
 
 
 def _format_block(values, line_template: str) -> str:
-    """Each row of the 2-D ``values`` through ``line_template``, all rows by one ``%``."""
+    """Each row of the 2-D ``values`` through ``line_template``.
+
+    A float block whose template is only ``%.12g`` cells, joined by commas
+    and ending in a newline, goes through ``_g12_text``; the cells it
+    leaves as ``%.12g`` are filled by one ``%``.  Any other block is
+    formatted by one ``%`` over all its cells.
+    """
     values = np.asarray(values)
+    if values.size and values.dtype == np.float64 and line_template == _g12_row(values.shape[1]):
+        text, rest = _g12_text(values)
+        return text % rest if rest else text
     return line_template * len(values) % tuple(values.ravel().tolist())
+
+
+def _g12_row(columns: int) -> str:
+    return ",".join(["%.12g"] * columns) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the %.12g kernel
+#
+# %.12g prints x in fixed notation when its exponent X, taken after rounding
+# to 12 significant digits, lies in [-4, 11]: the 12-digit mantissa with
+# the point after digit X (or "0." and -X - 1 zeros in front of it when X
+# is negative), trailing fraction zeros stripped and the point dropped when
+# no fraction digit is left.  The kernel prints the finite cells with
+# 1e-4 <= |x| < 1e11 that way.  It leaves every other cell as "%.12g" for
+# the one % of _format_block: 0, -0.0, subnormals, |x| < 1e-4, |x| >= 1e11,
+# inf, nan and the cells whose scaled mantissa m has a fraction of exactly .5.
+#
+# m = |x| * 10**(11 - X) is one rounded product of two doubles, and m < 2**40,
+# so m - P is at most 2**-14 for the exact product P.  The rounding is
+# monotone and every .5 fraction below 2**40 is a double, so m lies on the
+# same side of a .5 fraction as P unless m lands on it: elsewhere rint(m) is
+# the correctly rounded 12-digit mantissa.
+
+G12_PASS_CELLS = 4096  # cells per kernel pass; bounds its temporaries
+# exact doubles (every power of ten up to 1e22 is one), so m is rounded once
+_POW10 = np.array(
+    [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16]
+)
+_DIGIT = np.arange(48, 58, dtype=np.uint64)  # ASCII "0".."9"
+# the four decimal digits of 0..9999, the first in the lowest byte, and their trailing zeros
+_DIGITS4 = (
+    _DIGIT[:, None, None, None]
+    | _DIGIT[:, None, None] << np.uint64(8)
+    | _DIGIT[:, None] << np.uint64(16)
+    | _DIGIT << np.uint64(24)
+).ravel()
+_TRAILING_ZEROS4 = np.add.reduce(
+    [np.arange(10000, dtype=np.int16) % 10**p == 0 for p in range(1, 5)], dtype=np.int8
+)
+_SHIFT32 = np.uint64(32)
+
+
+def _g12_masks() -> np.ndarray:
+    """The byte masks of a cell's row, five words per (X + 4, digits - 1, negative).
+
+    A row is 40 bytes, five little-endian words: bytes 0-5 hold "-0.000",
+    bytes 8-19 the 12 digits, byte 20 the point, bytes 24-35 the 12 digits
+    again and byte 36 the separator.  The mask keeps the sign of a negative
+    cell and, for X < 0, "0.", -X - 1 zeros and the significant digits of
+    the first copy.  For X >= 0 it keeps digits 0..X of the first copy, then
+    the point and the significant digits after X of the second copy when
+    there are any.  The row's other bytes are NUL and get deleted.
+    """
+    x = np.arange(-4, 12)[:, None, None, None]
+    digits = np.arange(1, 13)[None, :, None, None]
+    negative = np.arange(2)[None, None, :, None]
+    byte = np.arange(40)
+    first, second = byte - 8, byte - 24
+    keep = (
+        ((byte == 0) & (negative == 1))
+        | (((byte == 1) | (byte == 2)) & (x < 0))
+        | ((byte >= 3) & (byte <= 5) & (x <= 1 - byte))
+        | ((first >= 0) & (first < 12) & np.where(x < 0, first < digits, first <= x))
+        | ((byte == 20) & (x >= 0) & (digits > x + 1))
+        | ((second >= 0) & (second < 12) & (x >= 0) & (second > x) & (second < digits))
+        | (byte == 36)
+    )
+    return np.ascontiguousarray((keep * np.uint8(255)).reshape(-1, 40).view("<u8").T)
+
+
+_MASKS = _g12_masks()
+_POINT = _MASKS[2] & (np.uint64(ord(".")) << _SHIFT32)
+_PREFIX = _MASKS[0] & np.frombuffer(b"-0.000\0\0", dtype="<u8")[0]
+_LEFT_TO_PERCENT = np.frombuffer(b"%.12g".ljust(32, b"\0"), dtype="<u8")
+
+
+def _decimal_exponent(a: np.ndarray) -> np.ndarray:
+    """floor(log10 a), or one off it where log10 rounds across an integer."""
+    return np.floor(np.log10(a)).astype(np.intp)
+
+
+def _g12_pass(x: np.ndarray, separators: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The ASCII text of the cells ``x``, whole rows in row order.
+
+    ``separators`` holds each column's separator, shifted into byte 4 of a
+    word.  Returns the text, in which each cell the kernel does not print
+    reads "%.12g", and the positions of those cells in ``x``.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e11)
+    a[~fast] = 1.0
+    # X corrected by one where the estimate misses it, so that m lies in [1e11, 1e12]
+    exponent = _decimal_exponent(a)
+    m = a * _POW10[11 - exponent]
+    exponent -= m < 1e11
+    exponent += m >= 1e12
+    m = a * _POW10[11 - exponent]
+    mantissa = np.rint(m)
+    fast &= np.abs(m - mantissa) != 0.5
+    carry = mantissa >= 1e12
+    exponent += carry
+    mantissa[carry] = 1e11
+    high, low = np.divmod(mantissa.astype(np.int64), 10000)
+    top, middle = np.divmod(high, 10000)
+    trailing = _TRAILING_ZEROS4[low]
+    whole = np.flatnonzero(low == 0)  # rare: the last four digits are zeros
+    trailing[whole] += np.where(
+        middle[whole] != 0, _TRAILING_ZEROS4[middle[whole]], 4 + _TRAILING_ZEROS4[top[whole]]
+    )
+    code = ((exponent + 4) * 12 + 11 - trailing) * 2 + (x < 0)
+    first = _DIGITS4[top] | (_DIGITS4[middle] << _SHIFT32)
+    last = _DIGITS4[low]
+    words = np.empty((x.size, 5), "<u8")  # little-endian: a word's lowest byte comes first
+    _PREFIX.take(code, out=words[:, 0])
+    np.bitwise_and(first, _MASKS[1].take(code), out=words[:, 1])
+    np.bitwise_or(last & _MASKS[2].take(code), _POINT.take(code), out=words[:, 2])
+    np.bitwise_and(first, _MASKS[3].take(code), out=words[:, 3])
+    np.bitwise_or(
+        (last & _MASKS[4].take(code)).reshape(-1, separators.size),
+        separators,
+        out=words[:, 4].reshape(-1, separators.size),
+    )
+    slow = np.flatnonzero(~fast)
+    words[slow, :4] = _LEFT_TO_PERCENT
+    words[slow, 4] &= np.uint64(0xFF) << _SHIFT32
+    return words.tobytes().translate(None, b"\0"), slow
+
+
+def _g12_text(values: np.ndarray) -> tuple[str, tuple]:
+    """The rows of ``values`` as ``%.12g`` cells; the cells left as "%.12g" and their values.
+
+    The cells go through ``_g12_pass`` ``G12_PASS_CELLS`` at a time, in
+    whole rows.
+    """
+    rows, columns = values.shape
+    separators = np.full(columns, ord(","), np.uint64)
+    separators[-1] = ord("\n")
+    separators <<= _SHIFT32
+    step = max(1, G12_PASS_CELLS // columns)
+    parts, rest = [], []
+    for start in range(0, rows, step):
+        x = values[start : start + step].ravel()
+        text, slow = _g12_pass(x, separators)
+        parts.append(text)
+        rest.extend(x[slow].tolist())
+    return b"".join(parts).decode("ascii"), tuple(rest)
 
 
 def _labeled_table(header, labels, *blocks) -> ReportTable:
@@ -105,18 +262,19 @@ def _labeled_table(header, labels, *blocks) -> ReportTable:
     return ReportTable(list(header), rows)
 
 
-# rows formatted per string operation; bounds the text held at once
-CSV_BLOCK_ROWS = 4096
+# rows per _format_block call; bounds the text and the kernel's temporaries held at once
+CSV_BLOCK_ROWS = 1024
 
 
 def write_numeric_csv(path, labels, values) -> None:
     """Write a header of labels, then each row of ``values`` with its cells as ``%.12g``.
 
     ``csv.writer`` quotes the labels; no number needs quoting, so the rows
-    go through ``_format_block``, ``CSV_BLOCK_ROWS`` rows at a time.
+    go through ``_format_block`` and its ``%.12g`` kernel,
+    ``CSV_BLOCK_ROWS`` rows at a time.
     """
     values = np.asarray(values, dtype=float)
-    row = ",".join(["%.12g"] * values.shape[1]) + "\n"
+    row = _g12_row(values.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f, lineterminator="\n").writerow(labels)
         for start in range(0, len(values), CSV_BLOCK_ROWS):

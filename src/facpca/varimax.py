@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import DataError, SizeError
 from .factors import LoadingMatrix
 
 __all__ = [
@@ -42,6 +42,7 @@ ANGLE_EPS = 1e-14  # both angle terms below this -> the plane is left alone
 WARM_SWEEPS = 8  # pairwise sweeps before the SVD iterations take over
 SVD_TOL = 1e-11  # relative objective gain below which an SVD iteration is dropped
 SVD_MAX = 5000  # SVD iterations at most, before the certificate sweeps
+ROW_NORM_MAX = 1.0 + 1e-9  # the bound ``LoadingMatrix`` puts on each entry
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,21 @@ def _entries(loadings) -> np.ndarray:
     if isinstance(loadings, LoadingMatrix):
         return np.array(loadings.entries, dtype=float)
     return np.array(loadings, dtype=float)
+
+
+def _check_row_norms(row_norms: np.ndarray, labels: tuple[str, ...]) -> None:
+    """Reject loadings with a row longer than ``ROW_NORM_MAX``.
+
+    A rotation keeps each row's length, so such a row (a communality above
+    1) could come out with an entry outside [-1, 1] or not, depending on
+    where the rotation ends; it is refused before any rotation instead.
+    """
+    longest = int(np.argmax(row_norms))
+    if row_norms[longest] > ROW_NORM_MAX:
+        raise DataError(
+            f"loading row {labels[longest]!r} has length {row_norms[longest]:.12g} > 1:"
+            " its communality exceeds 1"
+        )
 
 
 def _column_objective(column: np.ndarray, n_rows: int) -> float:
@@ -243,7 +259,8 @@ def varimax(
     Parameters
     ----------
     loadings:
-        n x k loading matrix with k >= 2.
+        n x k loading matrix with k >= 2 whose rows have length at most 1
+        (communalities at most 1); a longer row raises ``DataError``.
     normalize:
         Apply Kaiser normalization: divide each row by its norm before the
         rotation and restore the lengths afterwards.  Rows that are entirely
@@ -260,6 +277,7 @@ def varimax(
     working = np.array(loadings.entries, dtype=float)
     n, k = working.shape
     row_norms = np.sqrt(np.sum(working**2, axis=1))
+    _check_row_norms(row_norms, loadings.variable_labels)
     active = row_norms > 0.0
     if normalize:
         working[active] /= row_norms[active, None]

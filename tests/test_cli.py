@@ -118,6 +118,25 @@ def test_report_rejects_bad_percent_before_reading(tmp_path, capsys, stage_calls
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+        ("--draws", "1", "need at least 2 draws, got 1"),
+    ],
+)
+@pytest.mark.parametrize("source", ["--input", "--corr"])
+def test_simulate_rejects_bad_settings_before_reading(
+    tmp_path, capsys, stage_calls, source, flag, value, message
+):
+    out = tmp_path / "out"
+    argv = ["simulate", source, str(tmp_path / "missing.csv"), flag, value, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"facpca simulate: {message}\n"
+    assert stage_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "source, text",
     [("--input", "a,a\n1,2\n3,5\n"), ("--corr", ",a,a\na,1,0.5\na,0.5,1\n")],
 )

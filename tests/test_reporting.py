@@ -15,6 +15,9 @@ from facpca.datasets import dataset1_corr_path
 from facpca.reporting import (
     CSV_BLOCK_ROWS,
     Analysis,
+    _decimal_exponent,
+    _format_block,
+    _g12_text,
     emit_scree,
     read_correlation_csv,
     read_data_csv,
@@ -30,6 +33,7 @@ from reference_values import (
     REF_LOADINGS_4F_ROTATED,
     WEATHER_CORR,
 )
+from table_oracle import format_number
 
 
 def _write(path, text):
@@ -190,6 +194,90 @@ def test_block_writer_matches_oracle_on_special_values(rows):
     ours, oracle = _written_by_both(QUOTED_LABELS[:4], values)
     assert ours == oracle
     assert ours.count(b"\n") == rows + 2  # one label holds a line feed
+
+
+# ---------------------------------------------------------------------------
+# the %.12g kernel of _format_block
+
+
+def _g12_template(columns: int) -> str:
+    return ",".join(["%.12g"] * columns) + "\n"
+
+
+def _ulps(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` ulps up, or down when ``steps`` is negative."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+def _twelfth_digit(mantissa: float, exponent: int) -> float:
+    """The value ``mantissa * 10**(exponent - 11)``: ``mantissa`` holds its 12 digits."""
+    return mantissa * float(f"1e{exponent - 11}")
+
+
+# the kernel prints exponents -4..11 after rounding; one more at each end
+EXPONENTS = st.integers(-5, 12)
+G12_CELL = st.one_of(
+    # the ends of fixed notation and the powers of ten, a few ulps either way
+    st.builds(
+        _ulps,
+        st.one_of(st.sampled_from([1e-4, 1e11]), EXPONENTS.map(lambda e: float(f"1e{e}"))),
+        st.integers(-4, 4),
+    ),
+    # a 12th digit within 2e-3 of a rounding tie
+    st.builds(
+        _twelfth_digit,
+        st.builds(lambda m, d: m + 0.5 + d, st.integers(10**11, 10**12 - 1), st.floats(-2e-3, 2e-3)),
+        EXPONENTS,
+    ),
+    # twelve nines and a fraction near .5: a carry into a 13th digit, or none
+    st.builds(_twelfth_digit, st.floats(999999999999.49, 999999999999.51), EXPONENTS),
+    EXPONENTS.map(lambda e: float(f"9.99999999999951e{e}")),
+    st.floats(width=64),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    columns=st.integers(1, 12),
+    cells=st.lists(st.tuples(G12_CELL, st.booleans()), min_size=12, max_size=240),
+)
+def test_g12_blocks_match_cell_formatter(columns, cells):
+    cells = [-value if negative else value for value, negative in cells]
+    values = np.array(cells[: len(cells) // columns * columns]).reshape(-1, columns)
+    expected = "".join(",".join(map(format_number, row)) + "\n" for row in values)
+    assert _format_block(values, _g12_template(columns)) == expected
+
+
+def test_g12_blocks_match_percent_on_a_million_cells():
+    rng = np.random.default_rng(20211021)
+    values = rng.standard_normal((125_000, 8)) * 10.0 ** rng.uniform(-6, 13, (125_000, 8))
+    template = _g12_template(8)
+    expected = template * len(values) % tuple(values.ravel().tolist())
+    assert _format_block(values, template) == expected
+
+
+def test_g12_kernel_corrects_an_exponent_estimate_one_off(monkeypatch):
+    # log10 misses floor(log10 x) only next to a power of ten, where the carry
+    # prints the same digits; an estimate one off anywhere needs the correction
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(
+        "facpca.reporting._decimal_exponent",
+        lambda a: _decimal_exponent(a) + rng.integers(-1, 2, a.size),
+    )
+    values = rng.standard_normal((2000, 6)) * 10.0 ** rng.uniform(-5, 12, (2000, 6))
+    template = _g12_template(6)
+    expected = template * len(values) % tuple(values.ravel().tolist())
+    assert _format_block(values, template) == expected
+
+
+def test_g12_kernel_prints_nearly_every_normal_cell():
+    # the cells left to % print the same text, so only their count shows a slide back to %
+    values = np.random.default_rng(11).standard_normal((4096, 7))
+    _, rest = _g12_text(values)
+    assert len(rest) <= 0.01 * values.size
 
 
 # ---------------------------------------------------------------------------

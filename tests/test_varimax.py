@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import varimax_oracle
 
 from facpca import (
+    DataError,
     LoadingMatrix,
     SizeError,
     eigen_symmetric,
@@ -271,6 +272,28 @@ def test_zero_rows_pass_through_unchanged():
     assert np.all(np.isfinite(result.rotated.entries))
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("max_sweeps", [0, 9, 50])
+def test_rows_longer_than_one_are_refused_before_rotating(normalize, max_sweeps):
+    # row v1 has length 1.15: at max_sweeps=9 the SVD phase would turn it into
+    # an entry above 1, the pairwise loop alone would not
+    entries = [
+        [0.0, 0.0, 0.0, 0.0],
+        [0.875, 0.0, 0.75, 0.0],
+        [0.25, 0.5, 0.0, 0.5],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.5, 0.0, -0.0625, 0.0],
+        [0.25, 0.5, 0.25, 0.0],
+    ]
+    loadings = LoadingMatrix(entries, tuple(f"v{i}" for i in range(7)))
+    for rotate in (varimax, varimax_oracle.varimax):
+        with pytest.raises(DataError, match="row 'v1' has length 1.15244"):
+            rotate(loadings, normalize=normalize, max_sweeps=max_sweeps)
+    unit = LoadingMatrix([[1.0, 0.0], [0.6, 0.8], [0.0, 0.5]], ("a", "b", "c"))
+    assert np.all(np.abs(varimax(unit, normalize=normalize).rotated.entries) <= 1.0 + 1e-9)
+
+
 def test_sweep_budget_flags_nonconvergence(weather_loadings):
     result = varimax(truncate(weather_loadings, 4), max_sweeps=1)
     assert result.sweeps_used == 1
@@ -332,6 +355,11 @@ def loading_matrices(draw):
     entries = np.array(cells).reshape(n, k)
     zero_rows = draw(st.lists(st.integers(0, n - 1), max_size=n))
     entries[zero_rows] = 0.0
+    if draw(st.booleans()):
+        # shorten the rows longer than 1, which both rotations refuse
+        norms = np.sqrt(np.sum(entries**2, axis=1))
+        long_rows = norms > 1.0
+        entries[long_rows] /= norms[long_rows, None]
     return LoadingMatrix(entries, tuple(f"v{i}" for i in range(n)))
 
 
@@ -344,6 +372,15 @@ def loading_matrices(draw):
     LoadingMatrix(
         [[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [-0.25, 0.125, 0.25]] + [[0.0, 0.0, 1.0]] * 3,
         tuple("abcdef"),
+    ),
+    True,
+    9,
+)
+@example(
+    LoadingMatrix(
+        [[0.0] * 4, [0.875, 0.0, 0.75, 0.0], [-0.25, 0.5, 0.0, 0.5], [0.0] * 4, [0.0] * 4,
+         [-0.5, 0.0, -0.0625, -0.25], [0.0, 0.5, -0.25, -0.25]],
+        tuple(f"v{i}" for i in range(7)),
     ),
     True,
     9,

@@ -14,7 +14,7 @@ import numpy as np
 
 from facpca.errors import SizeError
 from facpca.factors import LoadingMatrix
-from facpca.varimax import ANGLE_EPS, RotationResult
+from facpca.varimax import ANGLE_EPS, RotationResult, _check_row_norms
 
 
 def _column_objective(column: np.ndarray, n_rows: int) -> float:
@@ -74,6 +74,7 @@ def varimax(
     working = np.array(loadings.entries, dtype=float)
     n, k = working.shape
     row_norms = np.sqrt(np.sum(working**2, axis=1))
+    _check_row_norms(row_norms, loadings.variable_labels)
     active = row_norms > 0.0
     if normalize:
         working[active] /= row_norms[active, None]
