@@ -17,8 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DataError, FacpcaError, SizeError
-from .factors import build_model, simulate
+from .errors import DataError, FacpcaError
+from .factors import build_model, check_simulation, simulate
 from .reporting import (
     Analysis,
     ReportTable,
@@ -195,10 +195,7 @@ def _cmd_scree(args) -> None:
 
 def _cmd_simulate(args) -> None:
     # checked first, so that a bad setting fails before any input is read
-    if args.seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {args.seed}")
-    if args.draws < 2:
-        raise SizeError(f"need at least 2 draws, got {args.draws}")
+    check_simulation(args.draws, args.seed)
     truncated = _analysis(args).truncated
     drawn = simulate(build_model(truncated), args.draws, args.seed)
     out = _out_dir(args)

@@ -23,6 +23,7 @@ __all__ = [
     "communalities",
     "cumulative_communalities",
     "build_model",
+    "check_simulation",
     "simulate",
 ]
 
@@ -149,6 +150,14 @@ def build_model(loadings: LoadingMatrix) -> FactorModel:
     return FactorModel(loadings, np.sqrt(1.0 - common))
 
 
+def check_simulation(draws: int, seed: int) -> None:
+    """Refuse a negative ``seed`` or fewer than 2 ``draws``, before anything is drawn."""
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
+    if draws < 2:
+        raise SizeError(f"need at least 2 draws, got {draws}")
+
+
 def simulate(model: FactorModel, draws: int, seed: int) -> DataMatrix:
     """Draw standardized variables from the factor model.
 
@@ -159,8 +168,7 @@ def simulate(model: FactorModel, draws: int, seed: int) -> DataMatrix:
     given seed.  For large ``draws`` the sample correlation matrix converges
     to ``L @ L.T + diag(w**2)``.
     """
-    if draws < 2:
-        raise SizeError(f"need at least 2 draws, got {draws}")
+    check_simulation(draws, seed)
     rng = np.random.default_rng(seed)
     common = rng.standard_normal((draws, model.loadings.k))
     unique = rng.standard_normal((draws, model.loadings.n_variables))

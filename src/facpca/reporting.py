@@ -10,7 +10,10 @@ Machine payloads carry 12 significant digits (so a written correlation
 matrix re-ingests to within 1e-9); percentages carry 2 decimals.  Every
 number of a table or file is formatted with its block of rows in
 ``_format_block``: a numpy digit kernel prints the rows of ``%.12g``
-cells, and one ``%`` over the block prints every other cell.
+cells, and one ``%`` over the block prints every other cell.  A table is
+stored as that text, one line per row label, and written to its csv file
+whole behind the quoted labels; only the JSON bundle and the printed tables
+split its rows into cells.
 
 All outputs are deterministic functions of the input bytes and the
 settings: fixed number formatting, fixed table order, no timestamps.
@@ -23,6 +26,7 @@ import csv
 import io
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import astuple, dataclass
 from functools import cached_property
@@ -83,10 +87,23 @@ INGEST_SYMMETRY_TOL = 1e-6  # accepted asymmetry/diagonal slack in a correlation
 
 @dataclass
 class ReportTable:
-    """One named table of the report bundle; cells are formatted strings."""
+    """One named table of the report bundle, stored as text.
+
+    ``labels`` is the first column.  ``body`` is the block formatter's text
+    of the other columns: one line per label, its cells joined by commas.
+    The csv bundle writes that text whole; ``rows`` splits it into cells
+    for the JSON bundle and the printed tables.
+    """
 
     header: list[str]
-    rows: list[list[str]]
+    labels: list[str]
+    body: str
+
+    @cached_property
+    def rows(self) -> list[list[str]]:
+        """Each label and its cells; no number prints a comma or line break."""
+        lines = self.body.splitlines()
+        return [[label, *line.split(",")] for label, line in zip(self.labels, lines)]
 
 
 def _format_block(values, line_template: str) -> str:
@@ -255,11 +272,30 @@ def _labeled_table(header, labels, *blocks) -> ReportTable:
     """One row per label, its cells the rows of ``blocks`` from the top.
 
     Each block is ``(values, templates)``: a 2-D array and its cells' ``%``
-    templates.  No number prints a comma or line break, so the lines split.
+    templates.
     """
-    text = "".join(_format_block(v, ",".join(cells) + "\n") for v, cells in blocks)
-    rows = [[label, *line.split(",")] for label, line in zip(labels, text.splitlines())]
-    return ReportTable(list(header), rows)
+    body = "".join(_format_block(v, ",".join(cells) + "\n") for v, cells in blocks)
+    return ReportTable(list(header), list(labels), body)
+
+
+# characters that may make csv.writer quote a field
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row of several."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([text, ""])
+    return line.getvalue()[:-2]
+
+
+def _write_csv(path, header, lines) -> None:
+    """Write ``header`` as a csv record, then the text ``lines`` as they are."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerow(header)
+        f.writelines(lines)
 
 
 # rows per _format_block call; bounds the text and the kernel's temporaries held at once
@@ -275,10 +311,8 @@ def write_numeric_csv(path, labels, values) -> None:
     """
     values = np.asarray(values, dtype=float)
     row = _g12_row(values.shape[1])
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f, lineterminator="\n").writerow(labels)
-        for start in range(0, len(values), CSV_BLOCK_ROWS):
-            f.write(_format_block(values[start : start + CSV_BLOCK_ROWS], row))
+    blocks = range(0, len(values), CSV_BLOCK_ROWS)
+    _write_csv(path, labels, (_format_block(values[s : s + CSV_BLOCK_ROWS], row) for s in blocks))
 
 
 def _read_text(path) -> tuple[bytes, str]:
@@ -487,11 +521,15 @@ def read_correlation_csv(path) -> CorrelationMatrix:
             raise DataError(
                 f"{path}: row label {row[0]!r} does not match header label {labels[k]!r}"
             )
-        for c, cell in enumerate(row[1:]):
-            try:
-                entries[k, c] = float(cell)
-            except ValueError:
-                raise ParseError(f"{path}: line {line_no}: {cell!r} is not a number") from None
+        try:
+            entries[k] = [float(cell) for cell in row[1:]]
+        except ValueError:
+            # name the row's first cell that is not a number
+            for cell in row[1:]:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}: line {line_no}: {cell!r} is not a number") from None
     if not np.all(np.isfinite(entries)):
         raise DataError(f"{path}: matrix contains non-finite values")
     asymmetry = float(np.max(np.abs(entries - entries.T)))
@@ -686,14 +724,21 @@ def criteria_table(analysis: Analysis, percent: float) -> ReportTable:
     """The factor count of each criterion; ``percent`` is the explained-variance threshold."""
     _check_percent(percent)
     eigenvalues = analysis.eig.eigenvalues
+    counts = (
+        kaiser_count(eigenvalues),
+        half_count(analysis.eig.size),
+        percentage_count(eigenvalues, percent),
+        analysis.retention.chosen,
+    )
     return ReportTable(
         ["criterion", "factors"],
         [
-            ["kaiser", str(kaiser_count(eigenvalues))],
-            ["half_of_variables", str(half_count(analysis.eig.size))],
-            [f"explained_variance({percent:g}%)", str(percentage_count(eigenvalues, percent))],
-            [f"min_variance(epsilon={analysis.epsilon:g})", str(analysis.retention.chosen)],
+            "kaiser",
+            "half_of_variables",
+            f"explained_variance({percent:g}%)",
+            f"min_variance(epsilon={analysis.epsilon:g})",
         ],
+        "%d\n%d\n%d\n%d\n" % counts,
     )
 
 
@@ -713,7 +758,9 @@ def run_report(
     bundle = {"summary_statistics": summary_table(analysis.data)} if analysis.kind == "raw" else {}
     bundle["correlation_matrix"], bundle["determination_matrix"] = correlation_tables(analysis.corr)
     explained = explained_variance_table(analysis.eig.eigenvalues)
-    bundle["eigenvalues"] = ReportTable(explained.header[:2], [row[:2] for row in explained.rows])
+    bundle["eigenvalues"] = _labeled_table(
+        explained.header[:2], explained.labels, (analysis.eig.eigenvalues[:, None], ["%.12g"])
+    )
     bundle["explained_variance"] = explained
     bundle["loadings_full"] = loading_table(analysis.loadings, with_communality=False)
     bundle["cumulative_communality_pct"] = cumulative_table(analysis.loadings)
@@ -729,8 +776,9 @@ def run_report(
     output_dir.mkdir(parents=True, exist_ok=True)
     if output_format == "csv":
         for name, table in bundle.items():
-            with open(output_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as f:
-                csv.writer(f, lineterminator="\n").writerows([table.header, *table.rows])
+            labels = map(_csv_field, table.labels)
+            lines = map("{},{}".format, labels, table.body.splitlines(keepends=True))
+            _write_csv(output_dir / f"{name}.csv", table.header, lines)
     else:
         payload = {name: {"header": t.header, "rows": t.rows} for name, t in bundle.items()}
         with open(output_dir / "report.json", "w", encoding="utf-8") as f:

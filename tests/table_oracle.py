@@ -8,10 +8,18 @@ as the report, the printed tables and ``scree.txt`` were once built.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from facpca.factors import LoadingMatrix, communalities, cumulative_communalities
-from facpca.reporting import ReportTable
 from facpca.retention import RetentionReport, scree_data, variance_table
 from facpca.stats import CorrelationMatrix, DataMatrix, determination_matrix, summarize
+
+
+class Table(NamedTuple):
+    """A table as its header and its rows of cells, the row label first."""
+
+    header: list[str]
+    rows: list[list[str]]
 
 
 def format_number(value) -> str:
@@ -22,7 +30,7 @@ def format_pct(fraction) -> str:
     return f"{float(fraction) * 100.0:.2f}"
 
 
-def summary_table(data: DataMatrix) -> ReportTable:
+def summary_table(data: DataMatrix) -> Table:
     stats = [summarize(data.column(i)) for i in range(data.n_variables)]
     rows = [
         ["Mean"] + [format_number(s.mean) for s in stats],
@@ -32,17 +40,17 @@ def summary_table(data: DataMatrix) -> ReportTable:
         ["Minimum"] + [format_number(s.minimum) for s in stats],
         ["Maximum"] + [format_number(s.maximum) for s in stats],
     ]
-    return ReportTable(["statistic", *data.labels], rows)
+    return Table(["statistic", *data.labels], rows)
 
 
-def matrix_table(labels, matrix, cell) -> ReportTable:
+def matrix_table(labels, matrix, cell) -> Table:
     rows = [
         [label, *(cell(value) for value in matrix[i])] for i, label in enumerate(labels)
     ]
-    return ReportTable(["", *labels], rows)
+    return Table(["", *labels], rows)
 
 
-def correlation_tables(corr: CorrelationMatrix) -> tuple[ReportTable, ReportTable]:
+def correlation_tables(corr: CorrelationMatrix) -> tuple[Table, Table]:
     """The correlation matrix and its entrywise squares, in percent."""
     return (
         matrix_table(corr.labels, corr.entries, format_number),
@@ -50,10 +58,10 @@ def correlation_tables(corr: CorrelationMatrix) -> tuple[ReportTable, ReportTabl
     )
 
 
-def explained_variance_table(eigenvalues) -> ReportTable:
+def explained_variance_table(eigenvalues) -> Table:
     table = variance_table(eigenvalues)
     columns = zip(table.eigenvalue, table.cumulative_eigenvalue, table.pct, table.cumulative_pct)
-    return ReportTable(
+    return Table(
         ["component", "eigenvalue", "cumulative_eigenvalue", "pct", "cumulative_pct"],
         [
             [str(i), format_number(value), format_number(total), f"{pct:.2f}", f"{total_pct:.2f}"]
@@ -66,7 +74,7 @@ def _factor_header(k: int) -> list[str]:
     return [f"F{j + 1}" for j in range(k)]
 
 
-def loading_table(loadings: LoadingMatrix, with_communality: bool) -> ReportTable:
+def loading_table(loadings: LoadingMatrix, with_communality: bool) -> Table:
     header = ["", *_factor_header(loadings.k)]
     common = communalities(loadings)
     if with_communality:
@@ -77,10 +85,10 @@ def loading_table(loadings: LoadingMatrix, with_communality: bool) -> ReportTabl
         if with_communality:
             row.append(format_pct(common[i]))
         rows.append(row)
-    return ReportTable(header, rows)
+    return Table(header, rows)
 
 
-def common_variance_table(loadings: LoadingMatrix) -> ReportTable:
+def common_variance_table(loadings: LoadingMatrix) -> Table:
     header = ["", *_factor_header(loadings.k), "communality_pct"]
     common = communalities(loadings)
     rows = []
@@ -88,10 +96,10 @@ def common_variance_table(loadings: LoadingMatrix) -> ReportTable:
         rows.append(
             [label, *(format_pct(v**2) for v in loadings.entries[i]), format_pct(common[i])]
         )
-    return ReportTable(header, rows)
+    return Table(header, rows)
 
 
-def cumulative_table(loadings: LoadingMatrix) -> ReportTable:
+def cumulative_table(loadings: LoadingMatrix) -> Table:
     cumulative = cumulative_communalities(loadings)
     header = ["", *_factor_header(loadings.k)]
     rows = [
@@ -99,11 +107,11 @@ def cumulative_table(loadings: LoadingMatrix) -> ReportTable:
         for i, label in enumerate(loadings.variable_labels)
     ]
     rows.append(["Average", *(format_pct(v) for v in cumulative.mean(axis=0))])
-    return ReportTable(header, rows)
+    return Table(header, rows)
 
 
-def retention_table(report: RetentionReport) -> ReportTable:
-    return ReportTable(
+def retention_table(report: RetentionReport) -> Table:
+    return Table(
         ["", *(str(i + 1) for i in range(len(report.min_var)))],
         [
             ["EigVal", *(format_pct(v) for v in report.eig_pct)],

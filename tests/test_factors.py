@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from facpca import (
+    Analysis,
     DataError,
     EigenDecomposition,
     InconsistentModelError,
@@ -20,6 +21,7 @@ from facpca import (
     simulate,
     truncate,
 )
+from facpca.datasets import dataset1_corr_path
 
 from conftest import random_correlation_psd, sign_matched_diff
 from reference_values import (
@@ -229,6 +231,12 @@ def test_simulate_rejects_tiny_draw_counts(weather_loadings):
     model = build_model(truncate(weather_loadings, 3))
     with pytest.raises(SizeError):
         simulate(model, 1, seed=0)
+
+
+def test_simulate_rejects_a_negative_seed_before_drawing():
+    model = build_model(Analysis(dataset1_corr_path(), "corr").truncated)
+    with pytest.raises(DataError, match=r"^seed must be a non-negative integer, got -1$"):
+        simulate(model, 5, -1)
 
 
 def test_simulate_identity_model_returns_factor_draws():

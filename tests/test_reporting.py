@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -27,7 +29,7 @@ from facpca.reporting import (
 from facpca.stats import CorrelationMatrix, DataMatrix
 
 import numeric_csv_oracle
-from conftest import permuted_sign_matched_diff
+from conftest import permuted_sign_matched_diff, random_correlation_psd
 from reference_values import (
     REF_EIGENVALUES,
     REF_LOADINGS_4F_ROTATED,
@@ -116,9 +118,16 @@ def test_correlation_csv_requires_matching_labels(tmp_path):
 
 
 def test_correlation_csv_rejects_nonnumeric(tmp_path):
-    path = _write(tmp_path / "corr.csv", ",a,b\na,1,oops\nb,0.5,1\n")
-    with pytest.raises(ParseError, match="line 2"):
-        read_correlation_csv(path)
+    cases = [
+        (",a,b\na,1,oops\nb,0.5,1\n", 2, "oops"),
+        # the first of two bad cells is named, not the last
+        (",a,b,c\na,1,0.5,0.5\nb,0.5,x,y\nc,0.5,0.5,1\n", 3, "x"),
+    ]
+    for text, line, cell in cases:
+        path = _write(tmp_path / "corr.csv", text)
+        message = f"{path}: line {line}: {cell!r} is not a number"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_correlation_csv(path)
 
 
 def test_correlation_csv_rejects_gross_asymmetry(tmp_path):
@@ -405,6 +414,61 @@ def test_report_json_format(tmp_path):
     assert set(payload) == set(bundle)
     assert payload["retention"]["rows"][3][1:] == ["5", "7", "7", "4", "6", "2", "6"]
     assert not (tmp_path / "retention.csv").exists()
+
+
+# labels csv.writer quotes (commas, quotes, line breaks) or leaves bare
+LABEL_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", "\u00e9", "\u20ac", "a"], max_size=4)
+
+
+def _labels(n: int):
+    """``n`` labels, distinct once stripped, as a correlation CSV reads them."""
+    return st.lists(LABEL_TEXT, min_size=n, max_size=n, unique_by=str.strip)
+
+
+def _assert_bundles_match_cell_writers(analysis) -> None:
+    """Each csv file equals ``csv.writer`` over its table's cells, report.json ``json.dump``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = run_report(analysis, Path(tmp) / "csv", "csv", 80.0)
+        for name, table in bundle.items():
+            assert all(len(row) == len(table.header) for row in table.rows)
+            text = io.StringIO()
+            csv.writer(text, lineterminator="\n").writerows([table.header, *table.rows])
+            written = (Path(tmp) / "csv" / f"{name}.csv").read_bytes()
+            assert written == text.getvalue().encode("utf-8"), name
+        bundle = run_report(analysis, Path(tmp) / "json", "json", 80.0)
+        text = io.StringIO()
+        json.dump({name: {"header": t.header, "rows": t.rows} for name, t in bundle.items()},
+                  text, indent=2)
+        written = (Path(tmp) / "json" / "report.json").read_bytes()
+        assert written == (text.getvalue() + "\n").encode("utf-8")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_bundle_files_match_cell_writers_on_raw_data(data, n, seed):
+    labels = data.draw(_labels(n))
+    values = np.random.default_rng(seed).standard_normal((12, n))
+    analysis = Analysis(DataMatrix(values, labels))
+    _assert_bundles_match_cell_writers(analysis)
+    assert analysis.data.labels == tuple(labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_bundle_files_match_cell_writers_on_a_correlation_csv(data, n, seed):
+    labels = data.draw(_labels(n))
+    entries = random_correlation_psd(np.random.default_rng(seed), n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corr.csv"
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            # every field quoted, so that a bare carriage return stays in its label
+            writer = csv.writer(f, quoting=csv.QUOTE_ALL)
+            writer.writerow(["", *labels])
+            rows = zip(labels, entries.tolist())
+            writer.writerows([label, *map(repr, row)] for label, row in rows)
+        analysis = Analysis(path, "corr")
+        _assert_bundles_match_cell_writers(analysis)
+        assert analysis.corr.labels == tuple(label.strip() for label in labels)
 
 
 # ---------------------------------------------------------------------------

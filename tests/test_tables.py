@@ -44,7 +44,7 @@ SIZES = [1, 2, 7, 100]
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
 
-def _same(ours: reporting.ReportTable, theirs: reporting.ReportTable) -> None:
+def _same(ours: reporting.ReportTable, theirs: oracle.Table) -> None:
     assert ours.header == theirs.header
     assert ours.rows == theirs.rows
 
@@ -159,7 +159,7 @@ def test_scree_text_matches_oracle(tmp_path_factory, data, n):
     assert txt.read_bytes() == oracle.scree_text(eigenvalues).encode("utf-8")
 
 
-def _stage_tables(module, corr: CorrelationMatrix, k: int) -> list[reporting.ReportTable]:
+def _stage_tables(module, corr: CorrelationMatrix, k: int) -> list:
     """Every table a report builds from ``corr`` with ``k`` factors, by ``module``'s builders."""
     eig = eigen_symmetric(corr.entries, correlation_input=True)
     full = full_loadings(eig, corr.labels)
