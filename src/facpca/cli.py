@@ -109,11 +109,6 @@ def _print_table(title: str, table: ReportTable) -> None:
     print()
 
 
-def _print_dropped(analysis: Analysis) -> None:
-    if analysis.dropped_rows:
-        print(f"dropped {analysis.dropped_rows} row(s) with missing values")
-
-
 def _warn_if_unconverged(rotation: RotationResult | None) -> None:
     if rotation is not None and not rotation.converged:
         print(
@@ -122,24 +117,21 @@ def _warn_if_unconverged(rotation: RotationResult | None) -> None:
         )
 
 
-def _cmd_summary(args) -> None:
-    analysis = _analysis(args)
-    _print_dropped(analysis)
+def _cmd_summary(args, analysis: Analysis) -> None:
     _print_table("summary_statistics", summary_table(analysis.data))
 
 
-def _cmd_corr(args) -> None:
-    correlation, determination = correlation_tables(_analysis(args).corr)
+def _cmd_corr(args, analysis: Analysis) -> None:
+    correlation, determination = correlation_tables(analysis.corr)
     _print_table("correlation_matrix", correlation)
     _print_table("determination_matrix_pct", determination)
 
 
-def _cmd_eigen(args) -> None:
-    _print_table("explained_variance", explained_variance_table(_analysis(args).eig.eigenvalues))
+def _cmd_eigen(args, analysis: Analysis) -> None:
+    _print_table("explained_variance", explained_variance_table(analysis.eig.eigenvalues))
 
 
-def _cmd_select(args) -> None:
-    analysis = _analysis(args)
+def _cmd_select(args, analysis: Analysis) -> None:
     # built first, so that a bad --percent fails before anything is printed
     criteria = criteria_table(analysis, args.percent)
     _print_table("retention", retention_table(analysis.retention))
@@ -147,8 +139,7 @@ def _cmd_select(args) -> None:
     print(f"chosen number of factors/components: {analysis.retention.chosen}")
 
 
-def _cmd_fa(args) -> None:
-    analysis = _analysis(args)
+def _cmd_fa(args, analysis: Analysis) -> None:
     # taken first, so that a bad --factors fails before anything is printed
     truncated = analysis.truncated
     k = truncated.k
@@ -162,9 +153,7 @@ def _cmd_fa(args) -> None:
         _print_table(f"common_variances_{k}_factors_rotated", common_variance_table(rotated))
 
 
-def _cmd_pca(args) -> None:
-    analysis = _analysis(args)
-    _print_dropped(analysis)
+def _cmd_pca(args, analysis: Analysis) -> None:
     scores = analysis.scores
     out = _out_dir(args)
     k = scores.shape[1]
@@ -174,29 +163,27 @@ def _cmd_pca(args) -> None:
     print(f"wrote {out / 'scores.csv'}")
 
 
-def _cmd_report(args) -> None:
-    analysis = _analysis(args)
+def _cmd_report(args, analysis: Analysis) -> None:
     bundle = run_report(analysis, args.out, args.format, args.percent)
-    _print_dropped(analysis)
     _warn_if_unconverged(analysis.rotation)
     print(f"wrote {len(bundle)} tables and the scree plot to {args.out}")
-    print(
-        f"number of factors/components (min_variance(epsilon={analysis.epsilon:g})): "
-        f"{analysis.retention.chosen}"
-    )
+    chosen_by = "--factors" if analysis.factors else f"min_variance(epsilon={analysis.epsilon:g})"
+    print(f"number of factors/components ({chosen_by}): {analysis.truncated.k}")
+    if analysis.rotation is None:
+        skipped = "--rotate none" if analysis.rotate == "none" else "varimax needs at least 2 factors"
+        print(f"rotation skipped ({skipped})")
 
 
-def _cmd_scree(args) -> None:
-    eig = _analysis(args).eig
+def _cmd_scree(args, analysis: Analysis) -> None:
     out = _out_dir(args)
-    svg_path, txt_path = emit_scree(eig.eigenvalues, out / "scree.svg")
+    svg_path, txt_path = emit_scree(analysis.eig.eigenvalues, out / "scree.svg")
     print(f"wrote {svg_path} and {txt_path}")
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args, analysis: Analysis) -> None:
     # checked first, so that a bad setting fails before any input is read
     check_simulation(args.draws, args.seed)
-    truncated = _analysis(args).truncated
+    truncated = analysis.truncated
     drawn = simulate(build_model(truncated), args.draws, args.seed)
     out = _out_dir(args)
     write_numeric_csv(out / "simulated.csv", drawn.labels, drawn.values)
@@ -225,7 +212,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.handler(args)
+        # the analysis reads nothing until the subcommand asks for a stage
+        analysis = _analysis(args)
+        args.handler(args, analysis)
+        if analysis.dropped_rows:
+            print(f"dropped {analysis.dropped_rows} row(s) with missing values")
     except FacpcaError as exc:
         print(f"facpca {args.command}: {exc}", file=sys.stderr)
         return 1

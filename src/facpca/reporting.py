@@ -328,42 +328,28 @@ def _read_text(path) -> tuple[bytes, str]:
     return raw.removeprefix(codecs.BOM_UTF8), text.removeprefix("\ufeff")
 
 
-def _csv_rows(path, text: str) -> list[tuple[int, list[str]]]:
-    """The non-blank csv records of ``text`` with stripped cells and 1-based numbers."""
-    rows = []
-    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
-        cells = [cell.strip() for cell in row]
-        if any(cells):
-            rows.append((line_no, cells))
-    if not rows:
-        raise ParseError(f"{path}: file is empty")
-    return rows
-
-
-def _parse_rows(path, rows, n: int) -> tuple[list[int], list[list[float]], int]:
+def _parse_rows(path, rows, n: int, lead: int) -> tuple[list[int], list[list[float]], list]:
     """Apply the per-row rules of ``read_data_csv`` to ``(line_no, cells)`` rows.
 
+    The first ``lead`` cells of a row are its labels, the others numbers.
     Returns the positions in ``rows`` of the kept rows, their values and
-    the number of dropped rows.
+    the dropped rows.
     """
-    positions: list[int] = []
-    kept: list[list[float]] = []
-    dropped = 0
+    positions, kept, dropped = [], [], []
     for position, (line_no, cells) in enumerate(rows):
         if not any(cells):
             continue
         if len(cells) != n:
             raise ParseError(f"{path}: line {line_no}: expected {n} fields, got {len(cells)}")
         try:
-            values = [float(cell) for cell in cells]
+            values = [float(cell) for cell in cells[lead:]]
         except ValueError:
-            dropped += 1
-            continue
+            values = [math.nan]
         if all(map(math.isfinite, values)):
             positions.append(position)
             kept.append(values)
         else:
-            dropped += 1
+            dropped.append((line_no, cells))
     return positions, kept, dropped
 
 
@@ -384,14 +370,6 @@ def _lines(raw: bytes):
         start = stop
 
 
-def _distinct(path, labels: tuple[str, ...]) -> tuple[str, ...]:
-    """``labels``, checked to hold no label twice."""
-    repeated = [label for label, count in Counter(labels).items() if count > 1]
-    if repeated:
-        raise DataError(f"{path}: duplicate label {repeated[0]!r}")
-    return labels
-
-
 def _header(path, raw: bytes) -> tuple[tuple[str, ...], int, int]:
     """The stripped labels of the first non-blank csv record of ``raw``.
 
@@ -407,57 +385,106 @@ def _header(path, raw: bytes) -> tuple[tuple[str, ...], int, int]:
 
 
 def _parse_body(
-    path, buf: np.ndarray, breaks: np.ndarray, n: int, first: int, skew: int
-) -> tuple[np.ndarray, int]:
+    path, buf: np.ndarray, breaks: np.ndarray, n: int, first: int, skew: int, lead: int
+) -> tuple[np.ndarray, list[str] | None, list]:
     """Read the lines of ``buf`` from line ``first`` on, which hold no quotes.
 
     ``buf`` holds the file's bytes between two added line feeds, at
     ``breaks``, and has no NUL bytes or bare carriage returns.  Each line
     from ``first`` on is then a csv record, numbered ``skew`` less than its
-    line, so one byte scan classifies them all: a line is plain when it
-    holds only number characters and commas, has n - 1 commas and no empty
+    line, so one byte scan classifies them all: a line is plain when, from
+    its label's comma on (from its start when ``lead`` is 0), it holds only
+    number characters and commas, and it has n - 1 commas and no empty
     field.  Plain lines are parsed in one ``np.loadtxt`` call; every other
-    line goes through ``_parse_rows``.
+    line goes through ``_parse_rows``.  Returns the kept rows' values, their
+    labels when ``lead`` is 1, and the dropped rows.
     """
     starts = breaks[:-1] + 1
     stops = breaks[1:]
     stops = stops - (buf[stops - 1] == _CR)
 
-    def cells(line: int) -> list[str]:
-        text = buf[starts[line] : stops[line]].tobytes().decode()
-        return [cell.strip() for cell in text.split(",")]
+    def text(line: int, ends: np.ndarray = stops) -> str:
+        return buf[starts[line] : ends[line]].tobytes().decode()
 
     bad = _NON_PLAIN.take(buf)
     commas = np.flatnonzero(buf == _COMMA)
     # a comma beside a line break or another comma borders an empty field
     bad[commas[_FIELD_EDGE[buf[commas - 1]] | _FIELD_EDGE[buf[commas + 1]]]] = True
+    # the label's comma; a line without one has too few commas to be plain
+    fields = np.append(commas, buf.size)[np.searchsorted(commas, starts)] if lead else starts
 
-    def per_line(positions: np.ndarray) -> np.ndarray:
-        return np.searchsorted(positions, stops) - np.searchsorted(positions, starts)
+    def per_line(positions: np.ndarray, since: np.ndarray) -> np.ndarray:
+        return np.searchsorted(positions, stops) - np.searchsorted(positions, since)
 
-    plain = (per_line(np.flatnonzero(bad)) == 0) & (per_line(commas) == n - 1) & (stops > starts)
+    plain = (per_line(np.flatnonzero(bad), fields) == 0) & (per_line(commas, starts) == n - 1)
+    plain &= stops > starts
     plain[:first] = False
-    plain_lines = np.flatnonzero(plain)
-    block = np.empty((0, n))
-    if plain_lines.size:
+    block = np.empty((0, n - lead))
+    if plain.any():
         keep = np.zeros(buf.size, dtype=bool)
         keep[1:] = np.repeat(plain, np.diff(breaks))
         try:
             block = np.loadtxt(
-                io.StringIO(buf[keep].tobytes().decode("ascii")),
+                io.StringIO(buf[keep].tobytes().decode()),
                 delimiter=",",
                 comments=None,
                 ndmin=2,
-            ).reshape(-1, n)
+                usecols=range(lead, n) if lead else None,
+            ).reshape(-1, n - lead)
         except ValueError:  # a cell such as "1-2" or "e": parse every line by row
             plain[:] = False
-            plain_lines = plain_lines[:0]
+        # a line with a non-finite number goes through _parse_rows, which drops it
+        finite = np.isfinite(block).all(axis=1)
+        block = block[finite]
+        plain[plain] = finite
     loose = np.flatnonzero(~plain[first:]) + first
-    positions, kept, dropped = _parse_rows(path, [(i + 1 - skew, cells(i)) for i in loose], n)
-    finite = np.isfinite(block).all(axis=1)
-    order = np.concatenate((plain_lines[finite], loose[positions]))
-    values = np.concatenate((block[finite], np.array(kept).reshape(-1, n)))
-    return values[np.argsort(order)], dropped + int(np.count_nonzero(~finite))
+    rows = [(i + 1 - skew, [cell.strip() for cell in text(i).split(",")]) for i in loose]
+    positions, kept, dropped = _parse_rows(path, rows, n, lead)
+    plain_lines = np.flatnonzero(plain)
+    rank = np.argsort(np.concatenate((plain_lines, loose[positions])))
+    values = np.concatenate((block, np.array(kept).reshape(-1, n - lead)))[rank]
+    if lead:
+        labels = [text(i, fields).strip() for i in plain_lines] + [rows[p][1][0] for p in positions]
+        return values, [labels[i] for i in rank], dropped
+    return values, None, dropped
+
+
+def _read_csv(path, lead: int) -> tuple[tuple[str, ...], list[str] | None, np.ndarray, list]:
+    """Read a header of labels, then rows of ``lead`` label fields (0 or 1) and numbers.
+
+    Returns the header, the kept rows' labels (None when ``lead`` is 0),
+    their numbers and the dropped rows, each as ``(line_no, cells)``.  The
+    header's labels after the first ``lead`` must be distinct.
+    """
+    raw, text = _read_text(path)
+    buf = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+    breaks = np.flatnonzero(buf == _LF)
+    bare_cr = np.any(buf[np.flatnonzero(buf == _CR) + 1] != _LF)
+    # csv has its own rules for NUL bytes and bare carriage returns
+    scan = not (b"\0" in raw or bare_cr)
+    if scan:
+        header, lines, records = _header(path, raw)
+        # quoted fields may span lines: scan only a body free of quotes
+        scan = raw.rfind(b'"') + 1 < breaks[lines]
+    if not scan:
+        reader = enumerate(csv.reader(io.StringIO(text, newline="")), start=1)
+        rows = [(i, cells) for i, row in reader if any(cells := [c.strip() for c in row])]
+        if not rows:
+            raise ParseError(f"{path}: file is empty")
+        header = tuple(rows.pop(0)[1])
+    repeated = [label for label, count in Counter(header[lead:]).items() if count > 1]
+    if repeated:
+        raise DataError(f"{path}: duplicate label {repeated[0]!r}")
+    n = len(header)
+    if n <= lead:
+        raise ParseError(f"{path}: header must hold a corner cell and the labels")
+    if scan:
+        values, labels, dropped = _parse_body(path, buf, breaks, n, lines, lines - records, lead)
+    else:
+        positions, kept, dropped = _parse_rows(path, rows, n, lead)
+        values = np.array(kept).reshape(-1, n - lead)
+        labels = [rows[p][1][0] for p in positions] if lead else None
+    return header, labels, values, dropped
 
 
 def read_data_csv(path) -> tuple[DataMatrix, int]:
@@ -470,68 +497,39 @@ def read_data_csv(path) -> tuple[DataMatrix, int]:
     alongside the matrix.  A row with the wrong number of fields is a parse
     error, not a droppable row.
     """
-    raw, text = _read_text(path)
-    buf = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
-    breaks = np.flatnonzero(buf == _LF)
-    bare_cr = np.any(buf[np.flatnonzero(buf == _CR) + 1] != _LF)
-    # csv has its own rules for NUL bytes and bare carriage returns
-    scan = not (b"\0" in raw or bare_cr)
-    if scan:
-        labels, lines, records = _header(path, raw)
-        # quoted fields may span lines: scan only a body free of quotes
-        scan = raw.rfind(b'"') + 1 < breaks[lines]
-    if scan:
-        _distinct(path, labels)
-        values, dropped = _parse_body(path, buf, breaks, len(labels), lines, lines - records)
-    else:
-        rows = _csv_rows(path, text)
-        labels = _distinct(path, tuple(rows[0][1]))
-        _, kept, dropped = _parse_rows(path, rows[1:], len(labels))
-        values = np.array(kept).reshape(-1, len(labels))
+    labels, _, values, dropped = _read_csv(path, 0)
     if len(values) < 2:
         raise SizeError(
-            f"{path}: only {len(values)} usable rows remain after dropping {dropped}"
+            f"{path}: only {len(values)} usable rows remain after dropping {len(dropped)}"
         )
-    return DataMatrix(values, labels), dropped
+    return DataMatrix(values, labels), len(dropped)
 
 
 def read_correlation_csv(path) -> CorrelationMatrix:
     """Read a labeled square correlation matrix CSV.
 
     Layout: a header row (corner cell plus n distinct labels) and n rows,
-    each a label followed by n values.  Asymmetry up to 1e-6 is repaired
-    by averaging; the diagonal must be within 1e-6 of 1 and is then forced
-    to exactly 1.
+    each a label followed by n values.  The rows follow the rules of
+    ``read_data_csv`` after their label, but a row it would drop is an
+    error.  Asymmetry up to 1e-6 is repaired by averaging; the diagonal
+    must be within 1e-6 of 1 and is then forced to exactly 1.
     """
-    rows = _csv_rows(path, _read_text(path)[1])
-    _, header = rows[0]
-    if len(header) < 2:
-        raise ParseError(f"{path}: header must hold a corner cell and the labels")
-    labels = _distinct(path, tuple(header[1:]))
-    n = len(labels)
-    if len(rows) - 1 != n:
-        raise DataError(f"{path}: expected {n} matrix rows, found {len(rows) - 1}")
-    entries = np.zeros((n, n))
-    for k, (line_no, row) in enumerate(rows[1:]):
-        if len(row) != n + 1:
-            raise ParseError(
-                f"{path}: line {line_no}: expected a label and {n} values, got {len(row)} fields"
-            )
-        if row[0] != labels[k]:
-            raise DataError(
-                f"{path}: row label {row[0]!r} does not match header label {labels[k]!r}"
-            )
-        try:
-            entries[k] = [float(cell) for cell in row[1:]]
-        except ValueError:
-            # name the row's first cell that is not a number
-            for cell in row[1:]:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}: line {line_no}: {cell!r} is not a number") from None
-    if not np.all(np.isfinite(entries)):
+    header, rows, entries, dropped = _read_csv(path, 1)
+    labels = header[1:]
+    n, found = len(labels), len(entries) + len(dropped)
+    if found != n:
+        raise DataError(f"{path}: expected {n} matrix rows, found {found}")
+    if dropped:
+        line_no, cells = dropped[0]
+        for cell in cells[1:]:  # name the row's first cell that is not a number
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: line {line_no}: {cell!r} is not a number") from None
         raise DataError(f"{path}: matrix contains non-finite values")
+    for row, label in zip(rows, labels):
+        if row != label:
+            raise DataError(f"{path}: row label {row!r} does not match header label {label!r}")
     asymmetry = float(np.max(np.abs(entries - entries.T)))
     if asymmetry > INGEST_SYMMETRY_TOL:
         raise DataError(f"{path}: matrix asymmetric by {asymmetry:.3e} (limit 1e-06)")
@@ -576,6 +574,8 @@ class Analysis:
             raise SizeError("factor count override must be at least 1")
         if self.rotate not in ("varimax", "none"):
             raise DataError(f"unknown rotation {self.rotate!r}")
+        if self.rotate == "none" and not self.kaiser_normalize:
+            raise DataError("kaiser_normalize=False has no effect with rotate='none'")
 
     @cached_property
     def _observations(self) -> tuple[DataMatrix, int]:

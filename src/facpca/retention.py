@@ -49,6 +49,8 @@ class RetentionReport:
     and ``nr_min_var`` the 1-based index of the worst-explained variable
     (0 when no variable is strictly below the running minimum seed of 1).
     ``chosen`` is the smallest count whose ``min_var`` reaches ``threshold``.
+    With all n factors every share is 1 up to rounding, so the last
+    ``min_var`` and ``nr_min_var`` are rounding noise, kept as published.
     """
 
     eig_pct: tuple[float, ...]

@@ -254,7 +254,13 @@ def varimax(
     Runs up to ``WARM_SWEEPS`` pairwise sweeps; when they neither converge
     nor use up ``max_sweeps``, SVD iterations take the rotation close to a
     stationary point, and pairwise sweeps resume on the budget left until
-    one sweep improves the objective by less than ``tol``.
+    one sweep improves the objective by less than ``tol``.  The result is
+    the deterministic output of this path: a local optimum that the last
+    pairwise sweep certifies, not always the global one.  On the wide
+    benchmark's seed-13 input 0 it ends at objective 2369.51, where the
+    pairwise loop alone reaches 2376.89 (see Nguyen & Waller, "Local minima and
+    factor rotations in exploratory factor analysis", Psychological
+    Methods, 2022).
 
     Parameters
     ----------

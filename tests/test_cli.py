@@ -67,6 +67,23 @@ def test_report_prints_dropped_rows(tmp_path, capsys):
     assert "dropped 1 row(s) with missing values" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags, closing",
+    [
+        ([], ["number of factors/components (min_variance(epsilon=0.51)): 3"]),
+        (["--factors", "1"],
+         ["number of factors/components (--factors): 1",
+          "rotation skipped (varimax needs at least 2 factors)"]),
+        (["--rotate", "none"],
+         ["number of factors/components (min_variance(epsilon=0.51)): 3",
+          "rotation skipped (--rotate none)"]),
+    ],
+)
+def test_report_names_the_count_used_and_a_skipped_rotation(tmp_path, capsys, flags, closing):
+    assert main(["report", "--corr", FIXTURE, *flags, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == closing
+
+
 def _out_flag(command, out) -> list[str]:
     """``--out out`` for the subcommands that write files, nothing for the others."""
     return ["--out", str(out)] if command in ("report", "simulate") else []
@@ -396,11 +413,37 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, ra
 
 @pytest.mark.parametrize("command", sorted(READS))
 def test_every_flag_the_subcommand_reads_is_accepted(tmp_path, capsys, raw_csv, command):
-    argv = [command]
-    for flag in READS[command]:
-        if flag != "--input" or "--corr" not in READS[command]:  # one source at a time
-            argv += _argv(flag, raw_csv, tmp_path / "out")
-    assert main(argv) == 0
+    # each flag alone, since --rotate none refuses --no-kaiser-normalize
+    reads = READS[command]
+    source = _argv("--corr" if "--corr" in reads else "--input", raw_csv, None)
+    writes = _argv("--out", raw_csv, tmp_path / "out") if "--out" in reads else []
+    for flag in reads:
+        argv = [*([] if flag in SOURCE else source), *_argv(flag, raw_csv, tmp_path / "out")]
+        assert main([command, *argv, *(writes if flag != "--out" else [])]) == 0, flag
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_every_subcommand_on_raw_input_prints_dropped_rows(tmp_path, capsys, command):
+    path = tmp_path / "raw.csv"
+    path.write_text(RAW_SAMPLE + "NA,1,1\n,2,2\n", encoding="utf-8")
+    writes = ["--out", str(tmp_path / "out")] if "--out" in READS[command] else []
+    assert main([command, "--input", str(path), *writes]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("dropped 2 row(s) with missing values\n")
+    assert printed.count("dropped") == 1
+
+
+@pytest.mark.parametrize("command", ["fa", "report"])
+def test_kaiser_normalization_without_rotation_is_rejected(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--corr", FIXTURE, "--rotate", "none", "--no-kaiser-normalize"]
+    assert main([*argv, *_out_flag(command, out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"facpca {command}: kaiser_normalize=False has no effect with rotate='none'\n"
+    )
+    assert not out.exists()
 
 
 def test_missing_input_fails_with_stderr(capsys):

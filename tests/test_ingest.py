@@ -1,5 +1,6 @@
-"""Differential tests of the vectorized raw-CSV reader against the cell-by-cell oracle."""
+"""Differential tests of the vectorized CSV readers against the cell-by-cell oracles."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -95,10 +96,16 @@ def test_reader_matches_cell_by_cell_oracle(raw):
 
 
 def test_quoted_header_keeps_the_byte_scan(monkeypatch):
-    def no_csv_records(path, text):
-        raise AssertionError("the body went through csv")
+    # every body row of the csv fallback reaches _parse_rows; of the byte
+    # scan, only the rows that np.loadtxt does not take
+    lines = []
+    parse_rows = reporting._parse_rows
 
-    monkeypatch.setattr(reporting, "_csv_rows", no_csv_records)
+    def seen(path, rows, *args):
+        lines.extend(line_no for line_no, cells in rows if any(cells))
+        return parse_rows(path, rows, *args)
+
+    monkeypatch.setattr(reporting, "_parse_rows", seen)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "raw.csv"
         path.write_bytes(b'"a\nb"," c ",""""\n1,2,3\n4,5,6\nNA,7,8\n')
@@ -106,6 +113,7 @@ def test_quoted_header_keeps_the_byte_scan(monkeypatch):
     assert data.labels == ("a\nb", "c", '"')
     assert data.values.tolist() == [[1, 2, 3], [4, 5, 6]]
     assert dropped == 1
+    assert lines == [4], "the body went through csv"
 
 
 def test_reader_matches_oracle_on_a_large_file():
@@ -120,6 +128,105 @@ def test_reader_matches_oracle_on_a_large_file():
     _assert_same(raw)
     _assert_same(raw.replace(b"\n", b"\r\n"))
     _assert_same(raw.replace(b"a,b,", b'"a","b\nb",', 1))
+
+
+# one fault per correlation file; "repair" perturbs an entry around the 1e-6 limits
+CORR_FAULTS = (
+    "none", "repair", "bad_cell", "non_finite", "row_count", "label", "field_count",
+    "duplicate", "corner",
+)
+
+
+def _csv_label(label: str, quoted: bool) -> str:
+    if quoted or any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
+@st.composite
+def corr_files(draw):
+    """Bytes of a correlation CSV with at most one fault; the fault, n and the first row's line."""
+    n = draw(st.integers(1, 5))
+    fault = draw(st.sampled_from(CORR_FAULTS))
+    stem = draw(st.sampled_from(["v", "", "ü", "温度 ", " a", "x,", 'q"', "r\n", "s\r\nt"]))
+    labels = [f"{stem}{j}".strip() for j in range(n)]
+    quoted, quoted_rows = draw(st.booleans()), draw(st.booleans())
+    entries = np.eye(n)
+    for i in range(n):
+        for j in range(i):
+            entries[i, j] = entries[j, i] = draw(st.floats(-0.99, 0.99))
+    style = draw(st.sampled_from(["%r", "%.3f", "%+.5g", " %r ", "%.17e"]))
+    cells = [[style % v for v in row] for row in entries.tolist()]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if fault == "repair":
+        delta = draw(st.sampled_from([1e-8, 5e-7, 9e-7, 2e-6, 1e-3]))
+        cells[i][j] = repr(float(entries[i, j]) + draw(st.sampled_from([delta, -delta])))
+    elif fault == "bad_cell":
+        cells[i][j] = draw(st.sampled_from(["x", "", " ", "NA", "1-2", "e", "."]))
+    elif fault == "non_finite":
+        cells[i][j] = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+    rows = [[_csv_label(label, quoted_rows), *row] for label, row in zip(labels, cells)]
+    header = ["", *(_csv_label(label, quoted) for label in labels)]
+    if fault == "row_count":
+        rows = rows[:i] + rows[i + 1 :] if draw(st.booleans()) else rows + [rows[i]]
+    elif fault == "label":
+        rows[i][0] = _csv_label(draw(st.sampled_from(["", "zz", labels[(i + 1) % n] + "_"])), False)
+    elif fault == "field_count":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [rows[i][-1]]
+    elif fault == "duplicate" and n > 1:
+        header[j + 1] = header[(j + 1) % n + 1]
+    elif fault == "corner":
+        header = header[1:]
+    lead = draw(st.lists(st.sampled_from([[], [""], ["", ""]]), max_size=2))
+    endings = st.sampled_from(draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n"]])))
+    text = "".join(",".join(row) + draw(endings) for row in [*lead, header, *rows])
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.encode("utf-8"), fault, n, len(lead) + 2
+
+
+def _corr_outcome(reader, path):
+    try:
+        corr = reader(path)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is the outcome
+        return type(exc), str(exc)
+    return corr.entries.tobytes(), corr.labels
+
+
+def _assert_same_matrix(raw: bytes, fault: str, n: int, first_row: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corr.csv"
+        path.write_bytes(raw)
+        expected = _corr_outcome(csv_oracle.read_correlation_csv, path)
+        # the raw row rules word a wrong field count their own way, and a
+        # header without its corner cell makes every row one field too long
+        old = re.fullmatch(r"(.*: line \d+: )expected a label and (\d+) values, got (\d+) fields",
+                           str(expected[1]))
+        if old:
+            expected = ParseError, f"{old[1]}expected {int(old[2]) + 1} fields, got {old[3]}"
+        if fault == "corner" and n > 1:
+            expected = ParseError, f"{path}: line {first_row}: expected {n} fields, got {n + 1}"
+        assert _corr_outcome(read_correlation_csv, path) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(corr_files())
+@example((b",a,b\na,1,oops\nb,0.5,1\n", "bad_cell", 2, 2))
+@example((b",a,b\r\na,1,0.5\r\nb,0.5,1e999\r\n", "non_finite", 2, 2))
+@example((b"\xef\xbb\xbf\n,a,b\na,1,0.5\nb,0.5,1\n", "none", 2, 3))
+@example((b",a,b\ra,1,0.5000001\rb,0.4999999,1\r", "repair", 2, 2))
+@example((b',"a,x",b\n"a,x",1,0.5\nb,0.5,1\n', "none", 2, 2))
+@example((b",a,b\na,1,0.5\nb,0.5\n", "field_count", 2, 2))
+@example((b"a,b\na,1,0.5\nb,0.5,1\n", "corner", 2, 2))
+@example((b"a\na,1\n", "corner", 1, 2))
+@example((b",a,a\na,1,0.5\na,0.5,1\n", "duplicate", 2, 2))
+@example((b",a,b\na,1,0.5\n", "row_count", 2, 2))
+@example((b",a,b\na,1,0.5\nc,0.5,1\n", "label", 2, 2))
+@example((b",\xc3\xbc,b\n \xc3\xbc ,1,0.5\nb,0.5,1\n", "none", 2, 2))
+def test_correlation_reader_matches_cell_by_cell_oracle(case):
+    _assert_same_matrix(*case)
 
 
 @pytest.mark.parametrize(
