@@ -27,7 +27,6 @@ from .factors import (
     LoadingMatrix,
     build_model,
     communalities,
-    cumulative_communalities,
     full_loadings,
     simulate,
     truncate,
@@ -78,7 +77,6 @@ __all__ = [
     "full_loadings",
     "truncate",
     "communalities",
-    "cumulative_communalities",
     "build_model",
     "simulate",
     # varimax

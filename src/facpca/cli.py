@@ -117,6 +117,12 @@ def _warn_if_unconverged(rotation: RotationResult | None) -> None:
         )
 
 
+def _note_skipped_rotation(analysis: Analysis) -> None:
+    if analysis.rotation is None:
+        skipped = "--rotate none" if analysis.rotate == "none" else "varimax needs at least 2 factors"
+        print(f"rotation skipped ({skipped})")
+
+
 def _cmd_summary(args, analysis: Analysis) -> None:
     _print_table("summary_statistics", summary_table(analysis.data))
 
@@ -151,6 +157,7 @@ def _cmd_fa(args, analysis: Analysis) -> None:
         rotated = rotation.rotated
         _print_table(f"loadings_{k}_factors_rotated", loading_table(rotated, with_communality=True))
         _print_table(f"common_variances_{k}_factors_rotated", common_variance_table(rotated))
+    _note_skipped_rotation(analysis)
 
 
 def _cmd_pca(args, analysis: Analysis) -> None:
@@ -169,9 +176,7 @@ def _cmd_report(args, analysis: Analysis) -> None:
     print(f"wrote {len(bundle)} tables and the scree plot to {args.out}")
     chosen_by = "--factors" if analysis.factors else f"min_variance(epsilon={analysis.epsilon:g})"
     print(f"number of factors/components ({chosen_by}): {analysis.truncated.k}")
-    if analysis.rotation is None:
-        skipped = "--rotate none" if analysis.rotate == "none" else "varimax needs at least 2 factors"
-        print(f"rotation skipped ({skipped})")
+    _note_skipped_rotation(analysis)
 
 
 def _cmd_scree(args, analysis: Analysis) -> None:

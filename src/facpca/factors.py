@@ -21,7 +21,6 @@ __all__ = [
     "full_loadings",
     "truncate",
     "communalities",
-    "cumulative_communalities",
     "build_model",
     "check_simulation",
     "simulate",
@@ -125,17 +124,6 @@ def truncate(loadings: LoadingMatrix, k: int) -> LoadingMatrix:
 def communalities(loadings: LoadingMatrix) -> np.ndarray:
     """Per-variable variance explained by the retained factors (row sums of squares)."""
     return np.sum(loadings.entries**2, axis=1)
-
-
-def cumulative_communalities(loadings: LoadingMatrix) -> np.ndarray:
-    """Running row sums of squared loadings; needs the full square matrix.
-
-    Row i, column j holds the variance of variable i explained by the first
-    j factors together, so each row is non-decreasing and ends at 1.
-    """
-    if loadings.k != loadings.n_variables:
-        raise SizeError("cumulative communalities require the full loading matrix")
-    return np.cumsum(loadings.entries**2, axis=1)
 
 
 def build_model(loadings: LoadingMatrix) -> FactorModel:

@@ -36,13 +36,7 @@ import numpy as np
 
 from .eigen import EigenDecomposition, eigen_symmetric
 from .errors import DataError, ParseError, SizeError, ThresholdError
-from .factors import (
-    LoadingMatrix,
-    communalities,
-    cumulative_communalities,
-    full_loadings,
-    truncate,
-)
+from .factors import LoadingMatrix, communalities, full_loadings, truncate
 from .pipeline import project
 from .retention import (
     RetentionReport,
@@ -424,8 +418,10 @@ def _parse_body(
         keep = np.zeros(buf.size, dtype=bool)
         keep[1:] = np.repeat(plain, np.diff(breaks))
         try:
+            # undecoded: the label column is skipped and number cells are ASCII
             block = np.loadtxt(
-                io.StringIO(buf[keep].tobytes().decode()),
+                io.BytesIO(buf[keep].tobytes()),
+                encoding="latin1",
                 delimiter=",",
                 comments=None,
                 ndmin=2,
@@ -695,13 +691,11 @@ def common_variance_table(loadings: LoadingMatrix) -> ReportTable:
     )
 
 
-def cumulative_table(loadings: LoadingMatrix) -> ReportTable:
-    cumulative = cumulative_communalities(loadings)
+def cumulative_table(labels, cumulative: np.ndarray) -> ReportTable:
+    """The cumulative shares of ``RetentionReport.cumulative`` and their column means, in percent."""
     values = np.vstack((cumulative, cumulative.mean(axis=0))) * 100.0
     return _labeled_table(
-        ["", *_factor_header(loadings.k)],
-        [*loadings.variable_labels, "Average"],
-        (values, ["%.2f"] * loadings.k),
+        ["", *_factor_header(len(labels))], [*labels, "Average"], (values, ["%.2f"] * len(labels))
     )
 
 
@@ -763,7 +757,9 @@ def run_report(
     )
     bundle["explained_variance"] = explained
     bundle["loadings_full"] = loading_table(analysis.loadings, with_communality=False)
-    bundle["cumulative_communality_pct"] = cumulative_table(analysis.loadings)
+    bundle["cumulative_communality_pct"] = cumulative_table(
+        analysis.loadings.variable_labels, analysis.retention.cumulative
+    )
     bundle["retention"] = retention_table(analysis.retention)
     bundle["criteria_comparison"] = criteria_table(analysis, percent)
     bundle["loadings_truncated"] = loading_table(analysis.truncated, with_communality=True)

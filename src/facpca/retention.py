@@ -5,7 +5,8 @@ the variable count, scree series), this module implements the
 minimum-per-variable-variance rule: keep the smallest number of factors
 such that every variable has at least a threshold share of its variance
 explained.  The per-variable shares come straight from the loading matrix,
-so the rule costs no more than the decomposition itself.
+so the rule costs no more than the decomposition itself, and its report
+keeps them for the cumulative communality table.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class RetentionReport:
     ``chosen`` is the smallest count whose ``min_var`` reaches ``threshold``.
     With all n factors every share is 1 up to rounding, so the last
     ``min_var`` and ``nr_min_var`` are rounding noise, kept as published.
+    ``cumulative`` is the read-only n x n matrix behind them: entry (i, j) is
+    variable i's explained share with the first j+1 factors together.
     """
 
     eig_pct: tuple[float, ...]
@@ -59,6 +62,7 @@ class RetentionReport:
     nr_min_var: tuple[int, ...]
     chosen: int
     threshold: float
+    cumulative: np.ndarray
 
 
 def _sorted_eigenvalues(eigenvalues) -> np.ndarray:
@@ -91,10 +95,9 @@ def kaiser_count(eigenvalues) -> int:
 
 def percentage_count(eigenvalues, threshold_pct: float) -> int:
     """Smallest count whose cumulative explained percentage reaches the threshold."""
-    values = _sorted_eigenvalues(eigenvalues)
-    cumulative_pct = np.cumsum(values) / values.size * 100.0
+    cumulative_pct = np.array(variance_table(eigenvalues).cumulative_pct)
     reached = cumulative_pct >= threshold_pct - 1e-9
-    return int(np.argmax(reached)) + 1 if reached.any() else values.size
+    return int(np.argmax(reached)) + 1 if reached.any() else cumulative_pct.size
 
 
 def half_count(n: int) -> int:
@@ -134,9 +137,12 @@ def minvar_count(eig: EigenDecomposition, epsilon: float = 0.51) -> RetentionRep
     eigenvalues = np.maximum(eigenvalues, 0.0)
     loadings = eig.eigenvectors * np.sqrt(eigenvalues)
     n = eig.size
+    # in the eigenvectors' memory order, which fixes how its column means sum
+    cumulative = np.cumsum(loadings**2, axis=1)
+    cumulative.flags.writeable = False
     # row i: each variable's explained variance with the first i + 1 factors,
     # in contiguous rows so each row's mean sums like a one-dimensional array
-    explained = np.cumsum((loadings**2).T.copy(), axis=0)
+    explained = cumulative.T.copy()
     lowest = explained.argmin(axis=1)
     lowest_value = explained[np.arange(n), lowest]
     # seeded at 1: a prefix with no variable strictly below 1 reports (1.0, 0);
@@ -155,4 +161,5 @@ def minvar_count(eig: EigenDecomposition, epsilon: float = 0.51) -> RetentionRep
         nr_min_var=tuple(nr_min_var),
         chosen=chosen,
         threshold=epsilon,
+        cumulative=cumulative,
     )

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from facpca.factors import LoadingMatrix, communalities, cumulative_communalities
+import numpy as np
+
+from facpca.factors import LoadingMatrix, communalities
 from facpca.retention import RetentionReport, scree_data, variance_table
 from facpca.stats import CorrelationMatrix, DataMatrix, determination_matrix, summarize
 
@@ -100,7 +102,9 @@ def common_variance_table(loadings: LoadingMatrix) -> Table:
 
 
 def cumulative_table(loadings: LoadingMatrix) -> Table:
-    cumulative = cumulative_communalities(loadings)
+    # each variable's explained share with the first j + 1 factors, summed here
+    # rather than taken from the retention report the block builder formats
+    cumulative = np.cumsum(loadings.entries**2, axis=1)
     header = ["", *_factor_header(loadings.k)]
     rows = [
         [label, *(format_pct(v) for v in cumulative[i])]

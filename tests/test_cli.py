@@ -82,6 +82,10 @@ def test_report_prints_dropped_rows(tmp_path, capsys):
 def test_report_names_the_count_used_and_a_skipped_rotation(tmp_path, capsys, flags, closing):
     assert main(["report", "--corr", FIXTURE, *flags, "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == closing
+    # fa closes its tables with the same note
+    assert main(["fa", "--corr", FIXTURE, *flags]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("rotation")] == closing[1:]
 
 
 def _out_flag(command, out) -> list[str]:

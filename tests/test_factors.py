@@ -15,9 +15,9 @@ from facpca import (
     build_model,
     communalities,
     correlation,
-    cumulative_communalities,
     eigen_symmetric,
     full_loadings,
+    minvar_count,
     simulate,
     truncate,
 )
@@ -156,30 +156,25 @@ def test_communalities_grow_with_k(weather_loadings):
 
 
 # ---------------------------------------------------------------------------
-# cumulative_communalities
+# cumulative communalities, as the retention report keeps them
 
 
-def test_cumulative_rows_match_reference(weather_loadings):
-    got = cumulative_communalities(weather_loadings)
+def test_cumulative_rows_match_reference(weather_eig):
+    got = minvar_count(weather_eig).cumulative
     assert np.max(np.abs(got[0] - REF_CUMULATIVE_COMMUNALITY[0])) < 3e-3
     assert got[1, 0] == pytest.approx(0.9165, abs=3e-3)
 
 
-def test_cumulative_rows_are_monotone_and_end_at_one(weather_loadings):
-    got = cumulative_communalities(weather_loadings)
+def test_cumulative_rows_are_monotone_and_end_at_one(weather_eig):
+    got = minvar_count(weather_eig).cumulative
     assert np.all(np.diff(got, axis=1) >= -1e-15)
     assert np.max(np.abs(got[:, -1] - 1.0)) < 1e-10
 
 
 def test_cumulative_identity_is_step_functions():
     eig = eigen_symmetric(np.eye(4), correlation_input=True)
-    got = cumulative_communalities(full_loadings(eig))
+    got = minvar_count(eig).cumulative
     assert set(np.round(got.ravel(), 12)) <= {0.0, 1.0}
-
-
-def test_cumulative_requires_full_matrix(weather_loadings):
-    with pytest.raises(SizeError):
-        cumulative_communalities(truncate(weather_loadings, 3))
 
 
 # ---------------------------------------------------------------------------

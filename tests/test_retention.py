@@ -136,6 +136,13 @@ def test_aver_var_equals_cumulative_percentages(weather_eig):
     assert np.max(np.abs(100 * np.array(report.aver_var) - cumulative)) < 1e-10
 
 
+def test_cumulative_is_read_only(weather_eig):
+    cumulative = minvar_count(weather_eig, 0.51).cumulative
+    assert cumulative.shape == (7, 7)
+    with pytest.raises(ValueError):
+        cumulative[0, 0] = 0.0
+
+
 def test_chosen_straddles_the_threshold(weather_eig):
     for epsilon in (0.51, 0.6, 0.75, 0.9, 0.99):
         report = minvar_count(weather_eig, epsilon)
@@ -173,9 +180,10 @@ def _minvar_loop(eig, epsilon):
     loadings = eig.eigenvectors * np.sqrt(eigenvalues)
     n = eig.size
     explained = np.zeros(n)
-    eig_pct, min_var, aver_var, nr_min_var = [], [], [], []
+    eig_pct, min_var, aver_var, nr_min_var, cumulative = [], [], [], [], []
     for i in range(n):
         explained += loadings[:, i] ** 2
+        cumulative.append(explained.copy())
         worst = 1.0
         worst_index = 0
         for j in range(n):
@@ -187,7 +195,7 @@ def _minvar_loop(eig, epsilon):
         aver_var.append(float(explained.mean()))
         nr_min_var.append(worst_index)
     chosen = next((i + 1 for i, value in enumerate(min_var) if value >= epsilon), n)
-    return eig_pct, min_var, aver_var, nr_min_var, chosen
+    return eig_pct, min_var, aver_var, nr_min_var, chosen, np.array(cumulative).T
 
 
 @st.composite
@@ -213,11 +221,12 @@ def spectra(draw):
 @example(EigenDecomposition(np.full(2, 0.5), np.full((2, 2), 0.5)), 0.51)  # tied below 1
 def test_minvar_count_matches_the_per_prefix_loop(eig, epsilon):
     report = minvar_count(eig, epsilon)
-    eig_pct, min_var, aver_var, nr_min_var, chosen = _minvar_loop(eig, epsilon)
+    eig_pct, min_var, aver_var, nr_min_var, chosen, cumulative = _minvar_loop(eig, epsilon)
     for got, want in [
         (report.eig_pct, eig_pct),
         (report.min_var, min_var),
         (report.aver_var, aver_var),
+        (report.cumulative, cumulative),
     ]:
         assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
     assert report.nr_min_var == tuple(nr_min_var)

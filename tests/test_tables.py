@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import facpca.reporting as reporting
-from facpca.eigen import eigen_symmetric
+from facpca.eigen import EigenDecomposition, eigen_symmetric
 from facpca.factors import LoadingMatrix, full_loadings, truncate
 from facpca.retention import RetentionReport, minvar_count
 from facpca.stats import CorrelationMatrix, DataMatrix
@@ -139,7 +139,12 @@ def test_loading_tables_match_oracle(matrix, with_communality):
 @settings(max_examples=40, deadline=None)
 @given(matrix=loadings(full=True))
 def test_cumulative_table_matches_oracle(matrix):
-    _same(reporting.cumulative_table(matrix), oracle.cumulative_table(matrix))
+    # with unit eigenvalues, the loadings minvar_count squares are ``matrix.entries`` exactly
+    report = minvar_count(EigenDecomposition(np.ones(matrix.k), matrix.entries))
+    _same(
+        reporting.cumulative_table(matrix.variable_labels, report.cumulative),
+        oracle.cumulative_table(matrix),
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,7 +152,9 @@ def test_cumulative_table_matches_oracle(matrix):
 def test_retention_table_matches_oracle(data, n):
     shares = _matrix(data.draw, (3, n), ANY)
     counts = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
-    report = RetentionReport(*(tuple(row.tolist()) for row in shares), tuple(counts), 1, 0.51)
+    report = RetentionReport(
+        *(tuple(row.tolist()) for row in shares), tuple(counts), 1, 0.51, np.zeros((n, n))
+    )
     _same(reporting.retention_table(report), oracle.retention_table(report))
 
 
@@ -165,12 +172,17 @@ def _stage_tables(module, corr: CorrelationMatrix, k: int) -> list:
     full = full_loadings(eig, corr.labels)
     truncated = truncate(full, k)
     rotated = varimax(truncated).rotated
+    retention = minvar_count(eig)
+    if module is reporting:
+        cumulative = reporting.cumulative_table(corr.labels, retention.cumulative)
+    else:
+        cumulative = oracle.cumulative_table(full)
     return [
         *module.correlation_tables(corr),
         module.explained_variance_table(eig.eigenvalues),
         module.loading_table(full, False),
-        module.cumulative_table(full),
-        module.retention_table(minvar_count(eig)),
+        cumulative,
+        module.retention_table(retention),
         *(module.loading_table(m, True) for m in (truncated, rotated)),
         *(module.common_variance_table(m) for m in (truncated, rotated)),
     ]
