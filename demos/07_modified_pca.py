@@ -26,11 +26,12 @@ print(f"simulated {observations.n_observations} observations "
 
 result = Analysis(observations, epsilon=0.51)
 retained = result.retention.chosen
-print(f"\nretained components: {retained}")
+print(f"\nretained components: {retained}, explaining "
+      f"{result.variance.cumulative_pct[retained - 1]:.2f}% of the total variance")
 print("score column variances vs eigenvalues:")
 centered = result.scores - result.scores.mean(axis=0)
 variances = np.mean(centered**2, axis=0)
-for j, (got, want) in enumerate(zip(variances, result.eig.eigenvalues), start=1):
+for j, (got, want) in enumerate(zip(variances, result.variance.eigenvalue), start=1):
     print(f"  PC{j}: variance = {got:.4f}   eigenvalue = {want:.4f}")
 
 cross = centered.T @ centered / result.scores.shape[0]

@@ -134,13 +134,13 @@ def _cmd_corr(args, analysis: Analysis) -> None:
 
 
 def _cmd_eigen(args, analysis: Analysis) -> None:
-    _print_table("explained_variance", explained_variance_table(analysis.eig.eigenvalues))
+    _print_table("explained_variance", explained_variance_table(analysis.variance))
 
 
 def _cmd_select(args, analysis: Analysis) -> None:
     # built first, so that a bad --percent fails before anything is printed
     criteria = criteria_table(analysis, args.percent)
-    _print_table("retention", retention_table(analysis.retention))
+    _print_table("retention", retention_table(analysis.retention, analysis.variance))
     _print_table("criteria_comparison", criteria)
     print(f"chosen number of factors/components: {analysis.retention.chosen}")
 
@@ -165,7 +165,7 @@ def _cmd_pca(args, analysis: Analysis) -> None:
     out = _out_dir(args)
     k = scores.shape[1]
     write_numeric_csv(out / "scores.csv", [f"PC{j + 1}" for j in range(k)], scores)
-    _print_table("retention", retention_table(analysis.retention))
+    _print_table("retention", retention_table(analysis.retention, analysis.variance))
     print(f"retained components: {k}")
     print(f"wrote {out / 'scores.csv'}")
 

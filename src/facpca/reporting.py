@@ -40,6 +40,7 @@ from .factors import LoadingMatrix, communalities, full_loadings, truncate
 from .pipeline import project
 from .retention import (
     RetentionReport,
+    VarianceTable,
     half_count,
     kaiser_count,
     minvar_count,
@@ -605,8 +606,12 @@ class Analysis:
         return full_loadings(self.eig, self.corr.labels)
 
     @cached_property
+    def variance(self) -> VarianceTable:
+        return variance_table(self.eig.eigenvalues)
+
+    @cached_property
     def retention(self) -> RetentionReport:
-        return minvar_count(self.eig, self.epsilon)
+        return minvar_count(self.loadings, self.epsilon)
 
     @cached_property
     def truncated(self) -> LoadingMatrix:
@@ -656,12 +661,11 @@ def correlation_tables(corr: CorrelationMatrix) -> tuple[ReportTable, ReportTabl
     )
 
 
-def explained_variance_table(eigenvalues) -> ReportTable:
-    table = variance_table(eigenvalues)
+def explained_variance_table(table: VarianceTable) -> ReportTable:
     columns = (table.eigenvalue, table.cumulative_eigenvalue, table.pct, table.cumulative_pct)
     return _labeled_table(
         ["component", "eigenvalue", "cumulative_eigenvalue", "pct", "cumulative_pct"],
-        [str(i) for i in range(1, len(table.eigenvalue) + 1)],
+        [str(i) for i in range(1, table.eigenvalue.size + 1)],
         (np.column_stack(columns), ["%.12g", "%.12g", "%.2f", "%.2f"]),
     )
 
@@ -699,13 +703,14 @@ def cumulative_table(labels, cumulative: np.ndarray) -> ReportTable:
     )
 
 
-def retention_table(report: RetentionReport) -> ReportTable:
-    n = len(report.min_var)
+def retention_table(report: RetentionReport, variance: VarianceTable) -> ReportTable:
+    """The retention ledger; its EigVal row is each factor's ``variance.pct``."""
+    n = report.min_var.size
     return _labeled_table(
         ["", *(str(i + 1) for i in range(n))],
         ["EigVal", "MinVar", "AverVar", "NrMinVar"],
-        (np.array([report.eig_pct, report.min_var, report.aver_var]) * 100.0, ["%.2f"] * n),
-        ([report.nr_min_var], ["%d"] * n),
+        (np.vstack((variance.pct, report.min_var * 100.0, report.aver_var * 100.0)), ["%.2f"] * n),
+        (report.nr_min_var[None], ["%d"] * n),
     )
 
 
@@ -717,11 +722,10 @@ def _check_percent(percent: float) -> None:
 def criteria_table(analysis: Analysis, percent: float) -> ReportTable:
     """The factor count of each criterion; ``percent`` is the explained-variance threshold."""
     _check_percent(percent)
-    eigenvalues = analysis.eig.eigenvalues
     counts = (
-        kaiser_count(eigenvalues),
+        kaiser_count(analysis.variance.eigenvalue),
         half_count(analysis.eig.size),
-        percentage_count(eigenvalues, percent),
+        percentage_count(analysis.variance, percent),
         analysis.retention.chosen,
     )
     return ReportTable(
@@ -751,16 +755,16 @@ def run_report(
     _check_percent(percent)
     bundle = {"summary_statistics": summary_table(analysis.data)} if analysis.kind == "raw" else {}
     bundle["correlation_matrix"], bundle["determination_matrix"] = correlation_tables(analysis.corr)
-    explained = explained_variance_table(analysis.eig.eigenvalues)
+    explained = explained_variance_table(analysis.variance)
     bundle["eigenvalues"] = _labeled_table(
-        explained.header[:2], explained.labels, (analysis.eig.eigenvalues[:, None], ["%.12g"])
+        explained.header[:2], explained.labels, (analysis.variance.eigenvalue[:, None], ["%.12g"])
     )
     bundle["explained_variance"] = explained
     bundle["loadings_full"] = loading_table(analysis.loadings, with_communality=False)
     bundle["cumulative_communality_pct"] = cumulative_table(
         analysis.loadings.variable_labels, analysis.retention.cumulative
     )
-    bundle["retention"] = retention_table(analysis.retention)
+    bundle["retention"] = retention_table(analysis.retention, analysis.variance)
     bundle["criteria_comparison"] = criteria_table(analysis, percent)
     bundle["loadings_truncated"] = loading_table(analysis.truncated, with_communality=True)
     bundle["common_variances_truncated"] = common_variance_table(analysis.truncated)

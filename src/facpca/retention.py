@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import PSD_TOL, EigenDecomposition
-from .errors import NotPositiveSemidefiniteError, OrderError, ThresholdError
+from .errors import OrderError, SizeError, ThresholdError
+from .factors import LoadingMatrix
 
 __all__ = [
     "RetentionReport",
@@ -30,43 +30,48 @@ __all__ = [
 ]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class VarianceTable:
-    """Explained-variance ledger: one row per component, sorted by size."""
+    """Explained-variance ledger: read-only arrays, one entry per component, sorted by size."""
 
-    eigenvalue: tuple[float, ...]
-    cumulative_eigenvalue: tuple[float, ...]
-    pct: tuple[float, ...]
-    cumulative_pct: tuple[float, ...]
+    eigenvalue: np.ndarray
+    cumulative_eigenvalue: np.ndarray
+    pct: np.ndarray
+    cumulative_pct: np.ndarray
 
 
 @dataclass(frozen=True)
 class RetentionReport:
     """Per-prefix retention diagnostics plus the chosen factor count.
 
-    Index i (0-based) of each sequence describes the model with i+1 factors:
-    ``eig_pct`` is that factor's share of total variance, ``min_var`` the
-    worst-explained variable's explained share, ``aver_var`` the mean share,
-    and ``nr_min_var`` the 1-based index of the worst-explained variable
-    (0 when no variable is strictly below the running minimum seed of 1).
-    ``chosen`` is the smallest count whose ``min_var`` reaches ``threshold``.
-    With all n factors every share is 1 up to rounding, so the last
-    ``min_var`` and ``nr_min_var`` are rounding noise, kept as published.
-    ``cumulative`` is the read-only n x n matrix behind them: entry (i, j) is
-    variable i's explained share with the first j+1 factors together.
+    Entry i (0-based) of each read-only array describes the model with i+1
+    factors (whose own share of the variance is ``VarianceTable.pct``):
+    ``min_var`` is the worst-explained variable's explained share, ``aver_var``
+    the mean share, and the ints ``nr_min_var`` the 1-based index of the
+    worst-explained variable (0 when no variable is strictly below the
+    running minimum seed of 1).  ``chosen`` is the smallest count whose
+    ``min_var`` reaches ``threshold``.  With all n factors every share is 1
+    up to rounding, so the last ``min_var`` and ``nr_min_var`` are rounding
+    noise, kept as published.  ``cumulative`` is the n x n matrix behind
+    them: entry (i, j) is variable i's explained share with the first j+1
+    factors together.
     """
 
-    eig_pct: tuple[float, ...]
-    min_var: tuple[float, ...]
-    aver_var: tuple[float, ...]
-    nr_min_var: tuple[int, ...]
+    min_var: np.ndarray
+    aver_var: np.ndarray
+    nr_min_var: np.ndarray
     chosen: int
     threshold: float
     cumulative: np.ndarray
 
 
 def _sorted_eigenvalues(eigenvalues) -> np.ndarray:
-    values = np.asarray(eigenvalues, dtype=float)
+    values = np.array(eigenvalues, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise OrderError("need a non-empty one-dimensional eigenvalue sequence")
     if np.any(np.diff(values) > 0):
@@ -79,12 +84,8 @@ def variance_table(eigenvalues) -> VarianceTable:
     values = _sorted_eigenvalues(eigenvalues)
     n = values.size
     cumulative = np.cumsum(values)
-    return VarianceTable(
-        eigenvalue=tuple(values),
-        cumulative_eigenvalue=tuple(cumulative),
-        pct=tuple(values / n * 100.0),
-        cumulative_pct=tuple(cumulative / n * 100.0),
-    )
+    columns = (values, cumulative, values / n * 100.0, cumulative / n * 100.0)
+    return VarianceTable(*map(_read_only, columns))
 
 
 def kaiser_count(eigenvalues) -> int:
@@ -93,18 +94,17 @@ def kaiser_count(eigenvalues) -> int:
     return int(np.sum(values >= 1.0))
 
 
-def percentage_count(eigenvalues, threshold_pct: float) -> int:
+def percentage_count(variance: VarianceTable, threshold_pct: float) -> int:
     """Smallest count whose cumulative explained percentage reaches the threshold."""
-    cumulative_pct = np.array(variance_table(eigenvalues).cumulative_pct)
-    reached = cumulative_pct >= threshold_pct - 1e-9
-    return int(np.argmax(reached)) + 1 if reached.any() else cumulative_pct.size
+    reached = variance.cumulative_pct >= threshold_pct - 1e-9
+    return int(np.argmax(reached)) + 1 if reached.any() else reached.size
 
 
 def half_count(n: int) -> int:
-    """Half the number of variables, rounded down."""
+    """Half the number of variables, rounded down, but at least 1 factor."""
     if n < 1:
         raise ThresholdError(f"need at least one variable, got {n}")
-    return n // 2
+    return max(1, n // 2)
 
 
 def scree_data(eigenvalues) -> list[tuple[int, float]]:
@@ -116,30 +116,25 @@ def scree_data(eigenvalues) -> list[tuple[int, float]]:
     return [(i + 1, float(v)) for i, v in enumerate(values)]
 
 
-def minvar_count(eig: EigenDecomposition, epsilon: float = 0.51) -> RetentionReport:
+def minvar_count(loadings: LoadingMatrix, epsilon: float = 0.51) -> RetentionReport:
     """Choose the factor count by the minimum-per-variable-variance rule.
 
-    Accumulates, factor by factor, each variable's explained variance
-    (the squared loadings) and stops once the worst-explained variable
-    reaches ``epsilon``.  The report carries the diagnostics for every
-    prefix 1..n, not just the chosen one.
+    ``loadings`` is the full square loading matrix (``full_loadings``);
+    a truncated one raises ``SizeError``.  Accumulates, factor by factor,
+    each variable's explained variance (the squared loadings) and stops
+    once the worst-explained variable reaches ``epsilon``.  The report
+    carries the diagnostics for every prefix 1..n, not just the chosen one.
 
     ``epsilon`` must exceed 0.5: a variable is considered adequately
     represented only when most of its variance is.
     """
     if not 0.5 < epsilon <= 1.0:
         raise ThresholdError(f"epsilon must lie in (0.5, 1], got {epsilon}")
-    eigenvalues = np.asarray(eig.eigenvalues, dtype=float)
-    if np.any(eigenvalues < -PSD_TOL):
-        raise NotPositiveSemidefiniteError(
-            "negative eigenvalue; the retention rule needs a PSD spectrum"
-        )
-    eigenvalues = np.maximum(eigenvalues, 0.0)
-    loadings = eig.eigenvectors * np.sqrt(eigenvalues)
-    n = eig.size
-    # in the eigenvectors' memory order, which fixes how its column means sum
-    cumulative = np.cumsum(loadings**2, axis=1)
-    cumulative.flags.writeable = False
+    n = loadings.n_variables
+    if loadings.k != n:
+        raise SizeError(f"need the full {n} x {n} loading matrix, got {loadings.k} factors")
+    # in the loadings' memory order, which fixes how its column means sum
+    cumulative = _read_only(np.cumsum(loadings.entries**2, axis=1))
     # row i: each variable's explained variance with the first i + 1 factors,
     # in contiguous rows so each row's mean sums like a one-dimensional array
     explained = cumulative.T.copy()
@@ -148,18 +143,14 @@ def minvar_count(eig: EigenDecomposition, epsilon: float = 0.51) -> RetentionRep
     # seeded at 1: a prefix with no variable strictly below 1 reports (1.0, 0);
     # argmin keeps the earliest variable on ties
     below = lowest_value < 1.0
-    min_var = np.where(below, lowest_value, 1.0).tolist()
-    nr_min_var = np.where(below, lowest + 1, 0).tolist()
-    eig_pct = (eigenvalues / n).tolist()
-    aver_var = explained.mean(axis=1).tolist()
+    min_var = _read_only(np.where(below, lowest_value, 1.0))
     # rounding can leave min_var[n-1] at 1 - ulp, so cap the answer at n
-    chosen = next((i + 1 for i, value in enumerate(min_var) if value >= epsilon), n)
+    reached = min_var >= epsilon
     return RetentionReport(
-        eig_pct=tuple(eig_pct),
-        min_var=tuple(min_var),
-        aver_var=tuple(aver_var),
-        nr_min_var=tuple(nr_min_var),
-        chosen=chosen,
+        min_var=min_var,
+        aver_var=_read_only(explained.mean(axis=1)),
+        nr_min_var=_read_only(np.where(below, lowest + 1, 0)),
+        chosen=int(np.argmax(reached)) + 1 if reached.any() else n,
         threshold=epsilon,
         cumulative=cumulative,
     )

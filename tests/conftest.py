@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from reference_values import WEATHER_CORR, WEATHER_LABELS
 
-from facpca import CorrelationMatrix, eigen_symmetric
+from facpca import CorrelationMatrix, eigen_symmetric, full_loadings
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,11 @@ def weather_corr() -> CorrelationMatrix:
 @pytest.fixture(scope="session")
 def weather_eig(weather_corr):
     return eigen_symmetric(weather_corr.entries, correlation_input=True)
+
+
+@pytest.fixture(scope="session")
+def weather_loadings(weather_eig):
+    return full_loadings(weather_eig, tuple(f"x{i}" for i in range(1, 8)))
 
 
 def sign_matched_diff(got: np.ndarray, want: np.ndarray) -> float:

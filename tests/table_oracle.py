@@ -114,11 +114,13 @@ def cumulative_table(loadings: LoadingMatrix) -> Table:
     return Table(header, rows)
 
 
-def retention_table(report: RetentionReport) -> Table:
+def retention_table(report: RetentionReport, eigenvalues) -> Table:
+    # EigVal: each eigenvalue's share of the n variables, from the eigenvalues themselves
+    n = len(eigenvalues)
     return Table(
         ["", *(str(i + 1) for i in range(len(report.min_var)))],
         [
-            ["EigVal", *(format_pct(v) for v in report.eig_pct)],
+            ["EigVal", *(format_pct(v / n) for v in np.asarray(eigenvalues, dtype=float).tolist())],
             ["MinVar", *(format_pct(v) for v in report.min_var)],
             ["AverVar", *(format_pct(v) for v in report.aver_var)],
             ["NrMinVar", *(str(v) for v in report.nr_min_var)],

@@ -97,13 +97,13 @@ def test_criterion_03_communality_reproduction(fixture_loadings):
     )
 
 
-def test_criterion_04_retention_reproduction(fixture_eig):
-    report = minvar_count(fixture_eig, 0.51)
-    min_diff = float(np.max(np.abs(100 * np.array(report.min_var) - REF_MINVAR_PCT)))
-    aver_diff = float(np.max(np.abs(100 * np.array(report.aver_var) - REF_AVERVAR_PCT)))
+def test_criterion_04_retention_reproduction(fixture_loadings):
+    report = minvar_count(fixture_loadings, 0.51)
+    min_diff = float(np.max(np.abs(100 * report.min_var - REF_MINVAR_PCT)))
+    aver_diff = float(np.max(np.abs(100 * report.aver_var - REF_AVERVAR_PCT)))
     assert min_diff < 0.3
     assert aver_diff < 0.3
-    assert report.nr_min_var == REF_NRMINVAR
+    assert report.nr_min_var.tolist() == list(REF_NRMINVAR)
     assert report.chosen == 3
     _report(
         "criterion 04 PASS: MinVar/AverVar within "
@@ -114,7 +114,7 @@ def test_criterion_04_retention_reproduction(fixture_eig):
 def test_criterion_05_criteria_comparison(fixture_eig):
     kaiser = kaiser_count(fixture_eig.eigenvalues)
     half = half_count(fixture_eig.size)
-    pct = percentage_count(fixture_eig.eigenvalues, 80.0)
+    pct = percentage_count(variance_table(fixture_eig.eigenvalues), 80.0)
     assert (kaiser, half, pct) == (3, 3, 4)
     _report("criterion 05 PASS: kaiser=3 half=3 percentage(80%)=4")
 
@@ -157,7 +157,7 @@ def test_criterion_07_basis_product_reproduction(fixture_eig, fixture_loadings):
 
 
 def test_criterion_08_explained_variance_table(fixture_eig):
-    cumulative = np.array(variance_table(fixture_eig.eigenvalues).cumulative_pct)
+    cumulative = variance_table(fixture_eig.eigenvalues).cumulative_pct
     worst = float(np.max(np.abs(cumulative - REF_CUMULATIVE_PCT)))
     assert worst < 0.1
     _report(f"criterion 08 PASS: cumulative percentages within {worst:.3f}pp (limit 0.1pp)")
@@ -240,9 +240,8 @@ def test_criterion_09_property_suite(fixture_loadings):
         assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
     # retention count is monotone in the threshold
-    base = eigen_symmetric(
-        read_correlation_csv(dataset1_corr_path()).entries,
-        correlation_input=True,
+    base = full_loadings(
+        eigen_symmetric(read_correlation_csv(dataset1_corr_path()).entries, correlation_input=True)
     )
     counts = [
         minvar_count(base, float(e)).chosen for e in np.linspace(0.5001, 1.0, 25)

@@ -8,6 +8,7 @@ import pytest
 
 import facpca.cli
 import facpca.reporting
+import facpca.retention
 import facpca.stats
 from facpca.cli import main
 from facpca.datasets import dataset1_corr_path
@@ -190,6 +191,8 @@ STAGES = (
     "summarize",
     "correlation_matrix",
     "eigen_symmetric",
+    "full_loadings",
+    "variance_table",
     "minvar_count",
     "varimax",
     "standardize",
@@ -199,16 +202,20 @@ STAGES = (
 
 @pytest.fixture()
 def stage_calls(monkeypatch):
-    """The names of the pipeline stages called through ``facpca.reporting``, in order."""
+    """The names of the pipeline stages called through ``facpca.reporting``, in order.
+
+    ``variance_table`` is also counted where ``facpca.retention`` calls it.
+    """
     calls = []
-    for name in STAGES:
-        original = getattr(facpca.reporting, name)
+    stages = [(facpca.reporting, name) for name in STAGES]
+    for module, name in [*stages, (facpca.retention, "variance_table")]:
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(facpca.reporting, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -217,10 +224,21 @@ def test_report_runs_each_stage_once(tmp_path, capsys, raw_csv, stage_calls, sou
     path = raw_csv if source == "--input" else FIXTURE
     assert main(["report", source, path, "--factors", "2", "--out", str(tmp_path / "out")]) == 0
     read = "read_data_csv" if source == "--input" else "read_correlation_csv"
-    expected = {read: 1, "eigen_symmetric": 1, "minvar_count": 1, "varimax": 1}
+    expected = dict.fromkeys(
+        (read, "eigen_symmetric", "full_loadings", "variance_table", "minvar_count", "varimax"), 1
+    )
     if source == "--input":
         expected.update(correlation_matrix=1, summarize=3)  # one summary per column
     assert Counter(stage_calls) == expected
+
+
+@pytest.mark.parametrize("source", ["--input", "--corr"])
+def test_select_runs_each_stage_once(capsys, raw_csv, stage_calls, source):
+    raw = source == "--input"
+    assert main(["select", source, raw_csv if raw else FIXTURE]) == 0
+    once = ["read_data_csv", "correlation_matrix"] if raw else ["read_correlation_csv"]
+    once += ["eigen_symmetric", "full_loadings", "variance_table", "minvar_count"]
+    assert Counter(stage_calls) == dict.fromkeys(once, 1)
 
 
 @pytest.mark.parametrize("source", ["--input", "--corr"])
@@ -240,8 +258,9 @@ def test_pca_runs_each_stage_once(tmp_path, capsys, monkeypatch, raw_csv, stage_
 
     monkeypatch.setattr(facpca.stats, "_unit_columns", counted)
     assert main(["pca", "--input", raw_csv, "--out", str(tmp_path / "out")]) == 0
-    once = ("read_data_csv", "correlation_matrix", "eigen_symmetric", "minvar_count",
-            "standardize", "project", "_unit_columns")  # one centering for both users
+    once = ("read_data_csv", "correlation_matrix", "eigen_symmetric", "full_loadings",
+            "variance_table", "minvar_count", "standardize", "project",
+            "_unit_columns")  # one centering for both users
     assert Counter(stage_calls) == dict.fromkeys(once, 1)
 
 

@@ -33,11 +33,6 @@ from reference_values import (
 )
 
 
-@pytest.fixture(scope="module")
-def weather_loadings(weather_eig):
-    return full_loadings(weather_eig, tuple(f"x{i}" for i in range(1, 8)))
-
-
 TWO_VAR = np.array([[1.0, 0.6], [0.6, 1.0]])
 
 
@@ -159,21 +154,21 @@ def test_communalities_grow_with_k(weather_loadings):
 # cumulative communalities, as the retention report keeps them
 
 
-def test_cumulative_rows_match_reference(weather_eig):
-    got = minvar_count(weather_eig).cumulative
+def test_cumulative_rows_match_reference(weather_loadings):
+    got = minvar_count(weather_loadings).cumulative
     assert np.max(np.abs(got[0] - REF_CUMULATIVE_COMMUNALITY[0])) < 3e-3
     assert got[1, 0] == pytest.approx(0.9165, abs=3e-3)
 
 
-def test_cumulative_rows_are_monotone_and_end_at_one(weather_eig):
-    got = minvar_count(weather_eig).cumulative
+def test_cumulative_rows_are_monotone_and_end_at_one(weather_loadings):
+    got = minvar_count(weather_loadings).cumulative
     assert np.all(np.diff(got, axis=1) >= -1e-15)
     assert np.max(np.abs(got[:, -1] - 1.0)) < 1e-10
 
 
 def test_cumulative_identity_is_step_functions():
     eig = eigen_symmetric(np.eye(4), correlation_input=True)
-    got = minvar_count(eig).cumulative
+    got = minvar_count(full_loadings(eig)).cumulative
     assert set(np.round(got.ravel(), 12)) <= {0.0, 1.0}
 
 

@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import facpca.reporting as reporting
-from facpca.eigen import EigenDecomposition, eigen_symmetric
+from facpca.eigen import eigen_symmetric
 from facpca.factors import LoadingMatrix, full_loadings, truncate
-from facpca.retention import RetentionReport, minvar_count
+from facpca.retention import RetentionReport, minvar_count, variance_table
 from facpca.stats import CorrelationMatrix, DataMatrix
 from facpca.varimax import varimax
 
@@ -120,7 +120,7 @@ def _eigenvalues(draw, n: int) -> np.ndarray:
 def test_explained_variance_table_matches_oracle(data, n):
     eigenvalues = _eigenvalues(data.draw, n)
     _same(
-        reporting.explained_variance_table(eigenvalues),
+        reporting.explained_variance_table(variance_table(eigenvalues)),
         oracle.explained_variance_table(eigenvalues),
     )
 
@@ -139,8 +139,7 @@ def test_loading_tables_match_oracle(matrix, with_communality):
 @settings(max_examples=40, deadline=None)
 @given(matrix=loadings(full=True))
 def test_cumulative_table_matches_oracle(matrix):
-    # with unit eigenvalues, the loadings minvar_count squares are ``matrix.entries`` exactly
-    report = minvar_count(EigenDecomposition(np.ones(matrix.k), matrix.entries))
+    report = minvar_count(matrix)
     _same(
         reporting.cumulative_table(matrix.variable_labels, report.cumulative),
         oracle.cumulative_table(matrix),
@@ -150,12 +149,14 @@ def test_cumulative_table_matches_oracle(matrix):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.sampled_from(SIZES))
 def test_retention_table_matches_oracle(data, n):
-    shares = _matrix(data.draw, (3, n), ANY)
-    counts = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
-    report = RetentionReport(
-        *(tuple(row.tolist()) for row in shares), tuple(counts), 1, 0.51, np.zeros((n, n))
+    min_var, aver_var = _matrix(data.draw, (2, n), ANY)
+    counts = np.array(data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
+    report = RetentionReport(min_var, aver_var, counts, 1, 0.51, np.zeros((n, n)))
+    eigenvalues = np.sort(_matrix(data.draw, (n,), ANY))[::-1]
+    _same(
+        reporting.retention_table(report, variance_table(eigenvalues)),
+        oracle.retention_table(report, eigenvalues),
     )
-    _same(reporting.retention_table(report), oracle.retention_table(report))
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,17 +173,19 @@ def _stage_tables(module, corr: CorrelationMatrix, k: int) -> list:
     full = full_loadings(eig, corr.labels)
     truncated = truncate(full, k)
     rotated = varimax(truncated).rotated
-    retention = minvar_count(eig)
+    retention = minvar_count(full)
     if module is reporting:
         cumulative = reporting.cumulative_table(corr.labels, retention.cumulative)
+        spectrum = variance_table(eig.eigenvalues)
     else:
         cumulative = oracle.cumulative_table(full)
+        spectrum = eig.eigenvalues
     return [
         *module.correlation_tables(corr),
-        module.explained_variance_table(eig.eigenvalues),
+        module.explained_variance_table(spectrum),
         module.loading_table(full, False),
         cumulative,
-        module.retention_table(retention),
+        module.retention_table(retention, spectrum),
         *(module.loading_table(m, True) for m in (truncated, rotated)),
         *(module.common_variance_table(m) for m in (truncated, rotated)),
     ]

@@ -31,11 +31,6 @@ from reference_values import (
 varimax_module = importlib.import_module("facpca.varimax")  # `facpca.varimax` is the function
 
 
-@pytest.fixture(scope="module")
-def weather_loadings(weather_eig):
-    return full_loadings(weather_eig, tuple(f"x{i}" for i in range(1, 8)))
-
-
 def random_loadings(rng, n, k):
     """Random loading matrix with row norms at most 1."""
     rows = rng.standard_normal((n, k))
