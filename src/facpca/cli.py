@@ -38,7 +38,8 @@ from .varimax import RotationResult
 _FLAGS = {
     "--input": dict(metavar="PATH", help="raw observation CSV (header of labels, numeric rows)"),
     "--corr": dict(metavar="PATH", help="correlation matrix CSV (labeled square block)"),
-    "--epsilon": dict(type=float, default=0.51,
+    # left out of the namespace when not given, so Analysis holds the one default
+    "--epsilon": dict(type=float, default=argparse.SUPPRESS,
                       help="minimum explained-variance share per variable, in (0.5, 1] (default 0.51)"),
     "--factors": dict(type=int, default=None,
                       help="fix the number of factors/components instead of the min-variance rule"),
@@ -86,6 +87,8 @@ def _analysis(args) -> Analysis:
             if "corr" in given
             else "this subcommand needs raw observations (--input)"
         )
+    if args.command in ("fa", "simulate") and "epsilon" in given and given["factors"] is not None:
+        raise DataError("--epsilon has no effect with --factors")
     settings = ("epsilon", "factors", "rotate", "kaiser_normalize")
     return Analysis(
         args.input if corr is None else corr,

@@ -8,12 +8,13 @@ explained variance, loadings, cumulative communality shares, the
 retention ledger, criteria comparison and truncated/rotated loadings.
 Machine payloads carry 12 significant digits (so a written correlation
 matrix re-ingests to within 1e-9); percentages carry 2 decimals.  Every
-number of a table or file is formatted with its block of rows in
+number of a table is formatted with its block of rows in
 ``_format_block``: a numpy digit kernel prints the rows of ``%.12g``
 cells, and one ``%`` over the block prints every other cell.  A table is
 stored as that text, one line per row label, and written to its csv file
 whole behind the quoted labels; only the JSON bundle and the printed tables
-split its rows into cells.
+split its rows into cells.  ``write_numeric_csv`` writes each pass of the
+kernel, a few thousand cells in whole rows, to its file as it is made.
 
 All outputs are deterministic functions of the input bytes and the
 settings: fixed number formatting, fixed table order, no timestamps.
@@ -41,6 +42,7 @@ from .pipeline import project
 from .retention import (
     RetentionReport,
     VarianceTable,
+    check_epsilon,
     half_count,
     kaiser_count,
     minvar_count,
@@ -105,14 +107,12 @@ def _format_block(values, line_template: str) -> str:
     """Each row of the 2-D ``values`` through ``line_template``.
 
     A float block whose template is only ``%.12g`` cells, joined by commas
-    and ending in a newline, goes through ``_g12_text``; the cells it
-    leaves as ``%.12g`` are filled by one ``%``.  Any other block is
-    formatted by one ``%`` over all its cells.
+    and ending in a newline, is the joined passes of ``_g12_text``.  Any
+    other block is formatted by one ``%`` over all its cells.
     """
     values = np.asarray(values)
     if values.size and values.dtype == np.float64 and line_template == _g12_row(values.shape[1]):
-        text, rest = _g12_text(values)
-        return text % rest if rest else text
+        return "".join(_g12_text(values))
     return line_template * len(values) % tuple(values.ravel().tolist())
 
 
@@ -138,7 +138,7 @@ def _g12_row(columns: int) -> str:
 # same side of a .5 fraction as P unless m lands on it: elsewhere rint(m) is
 # the correctly rounded 12-digit mantissa.
 
-G12_PASS_CELLS = 4096  # cells per kernel pass; bounds its temporaries
+G12_PASS_CELLS = 4096  # cells per kernel pass; bounds the text and temporaries held at once
 # exact doubles (every power of ten up to 1e22 is one), so m is rounded once
 _POW10 = np.array(
     [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16]
@@ -243,24 +243,23 @@ def _g12_pass(x: np.ndarray, separators: np.ndarray) -> tuple[bytes, np.ndarray]
     return words.tobytes().translate(None, b"\0"), slow
 
 
-def _g12_text(values: np.ndarray) -> tuple[str, tuple]:
-    """The rows of ``values`` as ``%.12g`` cells; the cells left as "%.12g" and their values.
+def _g12_text(values: np.ndarray):
+    """Yield the rows of ``values`` as ``%.12g`` cells, one pass of whole rows at a time.
 
-    The cells go through ``_g12_pass`` ``G12_PASS_CELLS`` at a time, in
-    whole rows.
+    Each pass formats about ``G12_PASS_CELLS`` cells in ``_g12_pass``, and
+    one ``%`` fills the cells it left as "%.12g".  ``values`` has at least
+    one column.
     """
     rows, columns = values.shape
     separators = np.full(columns, ord(","), np.uint64)
     separators[-1] = ord("\n")
     separators <<= _SHIFT32
     step = max(1, G12_PASS_CELLS // columns)
-    parts, rest = [], []
     for start in range(0, rows, step):
         x = values[start : start + step].ravel()
         text, slow = _g12_pass(x, separators)
-        parts.append(text)
-        rest.extend(x[slow].tolist())
-    return b"".join(parts).decode("ascii"), tuple(rest)
+        text = text.decode("ascii")
+        yield text % tuple(x[slow].tolist()) if slow.size else text
 
 
 def _labeled_table(header, labels, *blocks) -> ReportTable:
@@ -293,21 +292,15 @@ def _write_csv(path, header, lines) -> None:
         f.writelines(lines)
 
 
-# rows per _format_block call; bounds the text and the kernel's temporaries held at once
-CSV_BLOCK_ROWS = 1024
-
-
 def write_numeric_csv(path, labels, values) -> None:
     """Write a header of labels, then each row of ``values`` with its cells as ``%.12g``.
 
     ``csv.writer`` quotes the labels; no number needs quoting, so the rows
-    go through ``_format_block`` and its ``%.12g`` kernel,
-    ``CSV_BLOCK_ROWS`` rows at a time.
+    go to the file as the ``%.12g`` kernel's passes, one at a time.
     """
     values = np.asarray(values, dtype=float)
-    row = _g12_row(values.shape[1])
-    blocks = range(0, len(values), CSV_BLOCK_ROWS)
-    _write_csv(path, labels, (_format_block(values[s : s + CSV_BLOCK_ROWS], row) for s in blocks))
+    # a row without cells is a blank line; the kernel needs one cell per row at least
+    _write_csv(path, labels, _g12_text(values) if values.shape[1] else ["\n"] * len(values))
 
 
 def _read_text(path) -> tuple[bytes, str]:
@@ -565,8 +558,7 @@ class Analysis:
             raise DataError(f"unknown input kind {self.kind!r}")
         if self.kind == "corr" and isinstance(self.source, DataMatrix):
             raise DataError("a DataMatrix holds observations, not a correlation matrix")
-        if not 0.5 < self.epsilon <= 1.0:
-            raise ThresholdError(f"epsilon must lie in (0.5, 1], got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.factors is not None and self.factors < 1:
             raise SizeError("factor count override must be at least 1")
         if self.rotate not in ("varimax", "none"):

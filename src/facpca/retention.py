@@ -25,6 +25,7 @@ __all__ = [
     "kaiser_count",
     "percentage_count",
     "half_count",
+    "check_epsilon",
     "minvar_count",
     "scree_data",
 ]
@@ -116,6 +117,12 @@ def scree_data(eigenvalues) -> list[tuple[int, float]]:
     return [(i + 1, float(v)) for i, v in enumerate(values)]
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a threshold outside (0.5, 1]: most of a variable's variance must be explained."""
+    if not 0.5 < epsilon <= 1.0:
+        raise ThresholdError(f"epsilon must lie in (0.5, 1], got {epsilon}")
+
+
 def minvar_count(loadings: LoadingMatrix, epsilon: float = 0.51) -> RetentionReport:
     """Choose the factor count by the minimum-per-variable-variance rule.
 
@@ -128,8 +135,7 @@ def minvar_count(loadings: LoadingMatrix, epsilon: float = 0.51) -> RetentionRep
     ``epsilon`` must exceed 0.5: a variable is considered adequately
     represented only when most of its variance is.
     """
-    if not 0.5 < epsilon <= 1.0:
-        raise ThresholdError(f"epsilon must lie in (0.5, 1], got {epsilon}")
+    check_epsilon(epsilon)
     n = loadings.n_variables
     if loadings.k != n:
         raise SizeError(f"need the full {n} x {n} loading matrix, got {loadings.k} factors")

@@ -72,12 +72,6 @@ class RotationResult:
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
 
 
-def _entries(loadings) -> np.ndarray:
-    if isinstance(loadings, LoadingMatrix):
-        return np.array(loadings.entries, dtype=float)
-    return np.array(loadings, dtype=float)
-
-
 def _check_row_norms(row_norms: np.ndarray, labels: tuple[str, ...]) -> None:
     """Reject loadings with a row longer than ``ROW_NORM_MAX``.
 
@@ -104,11 +98,11 @@ def varimax_objective(loadings) -> float:
     Accepts a ``LoadingMatrix`` or a plain array and evaluates the matrix
     exactly as passed, whether or not its rows are normalized.
     """
-    a = _entries(loadings)
+    a = np.asarray(loadings.entries if isinstance(loadings, LoadingMatrix) else loadings, float)
     if a.ndim != 2 or a.shape[1] < 2:
         raise SizeError("objective needs at least two factor columns")
-    n_rows = a.shape[0]
-    return sum(_column_objective(a[:, j], n_rows) for j in range(a.shape[1]))
+    squares = np.ascontiguousarray(a.T) ** 2
+    return _objective(squares, squares.sum(axis=1), a.shape[0])
 
 
 def optimal_plane_angle(x, y) -> float | None:
@@ -292,7 +286,8 @@ def varimax(
         raise SizeError(f"need at least 2 points per plane, got {n_active}")
     columns = working.T.copy()
     turns = np.eye(k)
-    trace = [sum(_column_objective(columns[j], n) for j in range(k))]
+    squares = columns * columns
+    trace = [_objective(squares, squares.sum(axis=1), n)]
     sweeps, converged = _pairwise_sweeps(
         columns, turns, active, min(max_sweeps, WARM_SWEEPS), tol, trace
     )

@@ -158,6 +158,29 @@ def test_simulate_rejects_bad_settings_before_reading(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["--input", "--corr"])
+@pytest.mark.parametrize("command", ["fa", "simulate"])
+def test_epsilon_with_factors_is_rejected_before_reading(
+    tmp_path, capsys, stage_calls, command, source
+):
+    # with --factors fixing the count, fa and simulate never read --epsilon
+    out = tmp_path / "out"
+    argv = [command, source, str(tmp_path / "missing.csv"), "--factors", "2", "--epsilon", "0.9"]
+    assert main([*argv, *_out_flag(command, out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"facpca {command}: --epsilon has no effect with --factors\n"
+    assert stage_calls == []
+    assert not out.exists()
+
+
+def test_report_reads_epsilon_with_factors(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["report", "--corr", FIXTURE, "--factors", "4", "--epsilon", "0.6", "--out", str(out)]
+    assert main(argv) == 0
+    assert "min_variance(epsilon=0.6)" in (out / "criteria_comparison.csv").read_text()
+
+
 @pytest.mark.parametrize(
     "source, text",
     [("--input", "a,a\n1,2\n3,5\n"), ("--corr", ",a,a\na,1,0.5\na,0.5,1\n")],

@@ -15,11 +15,12 @@ from numpy.testing import assert_allclose
 from facpca import DataError, ParseError, SizeError, ThresholdError
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import (
-    CSV_BLOCK_ROWS,
+    G12_PASS_CELLS,
     Analysis,
     _decimal_exponent,
     _format_block,
-    _g12_text,
+    _g12_pass,
+    _write_csv,
     emit_scree,
     read_correlation_csv,
     read_data_csv,
@@ -166,8 +167,12 @@ SPECIAL_FLOATS = [
     math.nan,
 ]
 QUOTED_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rx", " ", "", "\u00e9"]
-BLOCK = CSV_BLOCK_ROWS
-BLOCK_EDGES = [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]
+
+
+def _pass_edges(columns: int) -> list[int]:
+    """Row counts at the edges of the kernel's passes of ``columns``-cell rows."""
+    step = G12_PASS_CELLS // max(columns, 1)
+    return [0, 1, 2, step - 1, step, step + 1, 3 * step + 17]
 
 
 def _written_by_both(labels, values) -> tuple[bytes, bytes]:
@@ -179,12 +184,9 @@ def _written_by_both(labels, values) -> tuple[bytes, bytes]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    rows=st.sampled_from(BLOCK_EDGES),
-    columns=st.integers(1, 5),
-    data=st.data(),
-)
-def test_block_writer_matches_cell_by_cell_oracle(rows, columns, data):
+@given(columns=st.integers(0, 5), data=st.data())
+def test_block_writer_matches_cell_by_cell_oracle(columns, data):
+    rows = data.draw(st.sampled_from(_pass_edges(columns)))
     labels = data.draw(
         st.lists(st.one_of(st.text(max_size=4), st.sampled_from(QUOTED_LABELS)),
                  min_size=columns, max_size=columns)
@@ -197,12 +199,38 @@ def test_block_writer_matches_cell_by_cell_oracle(rows, columns, data):
     assert ours == oracle
 
 
-@pytest.mark.parametrize("rows", BLOCK_EDGES)
+@pytest.mark.parametrize("rows", _pass_edges(4))
 def test_block_writer_matches_oracle_on_special_values(rows):
     values = np.resize(np.array(SPECIAL_FLOATS), (rows, 4))
     ours, oracle = _written_by_both(QUOTED_LABELS[:4], values)
     assert ours == oracle
     assert ours.count(b"\n") == rows + 2  # one label holds a line feed
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_block_writer_writes_a_blank_line_per_row_without_columns(rows):
+    ours, oracle = _written_by_both([], np.empty((rows, 0)))
+    assert ours == oracle == b"\n" * (rows + 1)
+
+
+def test_block_writer_streams_the_kernel_passes(monkeypatch):
+    # each piece written is one pass: whole rows, at most G12_PASS_CELLS cells
+    pieces = []
+
+    def keep_pieces(path, header, lines):
+        pieces.extend(lines)
+        _write_csv(path, header, pieces)
+
+    monkeypatch.setattr("facpca.reporting._write_csv", keep_pieces)
+    values = np.resize(np.array(SPECIAL_FLOATS), (3000, 7))
+    values[::3] = np.random.default_rng(3).standard_normal((1000, 7))
+    ours, oracle = _written_by_both(list("abcdefg"), values)
+    assert ours == oracle
+    assert len(pieces) > 1
+    for piece in pieces:
+        assert piece.endswith("\n")
+        assert piece.count(",") == 6 * piece.count("\n")
+        assert 7 * piece.count("\n") <= G12_PASS_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +313,8 @@ def test_g12_kernel_corrects_an_exponent_estimate_one_off(monkeypatch):
 def test_g12_kernel_prints_nearly_every_normal_cell():
     # the cells left to % print the same text, so only their count shows a slide back to %
     values = np.random.default_rng(11).standard_normal((4096, 7))
-    _, rest = _g12_text(values)
+    separators = np.array([ord(",")] * 6 + [ord("\n")], np.uint64) << np.uint64(32)
+    _, rest = _g12_pass(values.ravel(), separators)
     assert len(rest) <= 0.01 * values.size
 
 
