@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigen import EigenDecomposition, eigen_symmetric
-from .errors import DataError, ParseError, SizeError, ThresholdError
+from .errors import DataError, ParseError, ShapeError, SizeError, ThresholdError
 from .factors import LoadingMatrix, communalities, full_loadings, truncate
 from .pipeline import project
 from .retention import (
@@ -297,8 +297,11 @@ def write_numeric_csv(path, labels, values) -> None:
 
     ``csv.writer`` quotes the labels; no number needs quoting, so the rows
     go to the file as the ``%.12g`` kernel's passes, one at a time.
+    ``values`` must be 2-D with one column per label, or no file is made.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(labels):
+        raise ShapeError(f"{path}: need 2-D values, one column per label, got shape {values.shape}")
     # a row without cells is a blank line; the kernel needs one cell per row at least
     _write_csv(path, labels, _g12_text(values) if values.shape[1] else ["\n"] * len(values))
 

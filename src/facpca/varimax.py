@@ -1,19 +1,25 @@
 """Varimax rotation of a loading matrix, certified by pairwise plane rotations.
 
+Every phase maximizes one criterion, Kaiser's (1958) raw Varimax criterion
+over all n rows: the sum over factors of ``n * sum(z**4) - sum(z**2)**2``.
+A row of zeros is one of the n rows like any other: it adds nothing to
+either sum but counts in n, and every rotation leaves it exactly zero.
+
 A pairwise sweep visits every factor pair in lexicographic order and
 rotates the pair by the analytically optimal angle; a plane rotation is
 applied only when it does not decrease the objective.  ``varimax`` runs
 three phases on the (optionally Kaiser-normalized) rows:
 
 1. Warm-up: up to ``WARM_SWEEPS`` pairwise sweeps.  Small problems converge
-   here, and a budget of at most ``WARM_SWEEPS`` sweeps ends here.
+   here.
 2. SVD iterations (Kaiser 1958, the form of R's ``stats::varimax``): the
    rotation becomes ``U V'`` from the SVD of the objective's gradient
    mapped back onto the warm-up's loadings.  The phase ends before the
    first iteration whose relative gain is below ``SVD_TOL``, or after
    ``SVD_MAX`` iterations.
-3. Certificate: pairwise sweeps on the budget left, until one sweep
-   improves the objective by less than ``tol``: no plane rotation gains.
+3. Certificate: pairwise sweeps on what is left of ``MAX_SWEEPS``, until
+   one sweep improves the objective by less than ``TOL`` relative: no
+   plane rotation gains.
 
 Every phase keeps only steps that do not lower the objective, so the
 objective trace is non-decreasing.  Rows are optionally normalized to unit
@@ -39,6 +45,8 @@ __all__ = [
 ]
 
 ANGLE_EPS = 1e-14  # both angle terms below this -> the plane is left alone
+MAX_SWEEPS = 50  # pairwise sweeps at most, warm-up and certificate together
+TOL = 1e-9  # relative objective gain of a pairwise sweep below which it has converged
 WARM_SWEEPS = 8  # pairwise sweeps before the SVD iterations take over
 SVD_TOL = 1e-11  # relative objective gain below which an SVD iteration is dropped
 SVD_MAX = 5000  # SVD iterations at most, before the certificate sweeps
@@ -146,12 +154,7 @@ def _objective(squares: np.ndarray, sums: np.ndarray, n_rows: int) -> float:
 
 
 def _pairwise_sweeps(
-    columns: np.ndarray,
-    turns: np.ndarray,
-    active: np.ndarray,
-    budget: int,
-    tol: float,
-    trace: list[float],
+    columns: np.ndarray, turns: np.ndarray, budget: int, trace: list[float]
 ) -> tuple[int, bool]:
     """Up to ``budget`` pairwise sweeps on ``columns`` and ``turns``, in place.
 
@@ -159,10 +162,9 @@ def _pairwise_sweeps(
     j), so each plane reads and writes contiguous rows.  ``trace[-1]`` is the
     objective of ``columns`` on entry; each sweep appends its objective.
     Returns the sweeps run and whether the last one improved the objective
-    by less than ``tol`` relative to its start.
+    by less than ``TOL`` relative to its start.
     """
     k, n = columns.shape
-    n_active = int(np.count_nonzero(active))
     objectives = [_column_objective(columns[j], n) for j in range(k)]
     objective = trace[-1]
     for sweep in range(1, budget + 1):
@@ -170,10 +172,7 @@ def _pairwise_sweeps(
             x = columns[p]
             for q in range(p + 1, k):
                 y = columns[q]
-                if n_active == n:
-                    angle = _plane_angle(x, y, n)
-                else:
-                    angle = _plane_angle(x[active], y[active], n_active)
+                angle = _plane_angle(x, y, n)
                 if angle is None:
                     continue
                 c = math.cos(angle)
@@ -197,7 +196,7 @@ def _pairwise_sweeps(
         improvement = new_objective - objective
         scale = abs(objective) if objective != 0.0 else 1.0
         objective = new_objective
-        if improvement < tol * scale:
+        if improvement < TOL * scale:
             return sweep, True
     return budget, False
 
@@ -237,24 +236,21 @@ def _svd_iterations(columns: np.ndarray, turns: np.ndarray, trace: list[float]) 
         turns[:] = rotation.T @ turns
 
 
-def varimax(
-    loadings: LoadingMatrix,
-    normalize: bool = True,
-    max_sweeps: int = 50,
-    tol: float = 1e-9,
-) -> RotationResult:
+def varimax(loadings: LoadingMatrix, normalize: bool = True) -> RotationResult:
     """Rotate a truncated loading matrix towards simple structure.
 
-    Runs up to ``WARM_SWEEPS`` pairwise sweeps; when they neither converge
-    nor use up ``max_sweeps``, SVD iterations take the rotation close to a
-    stationary point, and pairwise sweeps resume on the budget left until
-    one sweep improves the objective by less than ``tol``.  The result is
-    the deterministic output of this path: a local optimum that the last
-    pairwise sweep certifies, not always the global one.  On the wide
-    benchmark's seed-13 input 0 it ends at objective 2369.51, where the
-    pairwise loop alone reaches 2376.89 (see Nguyen & Waller, "Local minima and
-    factor rotations in exploratory factor analysis", Psychological
-    Methods, 2022).
+    Runs up to ``WARM_SWEEPS`` pairwise sweeps; when they do not converge,
+    SVD iterations take the rotation close to a stationary point, and
+    pairwise sweeps resume on what is left of ``MAX_SWEEPS`` until one
+    sweep improves the objective by less than ``TOL`` relative.  When the
+    budget runs out first, the result carries ``converged=False``.  Every
+    phase maximizes the criterion over all n rows, a row of zeros included.
+    The result is the deterministic output of this path: a local optimum
+    that the last pairwise sweep certifies, not always the global one.  On
+    the wide benchmark's seed-13 input 0 it ends at objective 2369.51, where
+    the pairwise loop alone reaches 2376.89 (see Nguyen & Waller, "Local
+    minima and factor rotations in exploratory factor analysis",
+    Psychological Methods, 2022).
 
     Parameters
     ----------
@@ -264,13 +260,7 @@ def varimax(
     normalize:
         Apply Kaiser normalization: divide each row by its norm before the
         rotation and restore the lengths afterwards.  Rows that are entirely
-        zero are exempt and pass through unchanged.
-    max_sweeps:
-        Budget of pairwise sweeps; when exhausted the result carries
-        ``converged=False``.
-    tol:
-        Relative objective improvement per full pairwise sweep below which
-        the rotation is considered converged.
+        zero are not divided; like any zero row they come out exactly zero.
     """
     if loadings.k < 2:
         raise SizeError("varimax needs at least two factors")
@@ -278,28 +268,18 @@ def varimax(
     n, k = working.shape
     row_norms = np.sqrt(np.sum(working**2, axis=1))
     _check_row_norms(row_norms, loadings.variable_labels)
-    active = row_norms > 0.0
-    if normalize:
-        working[active] /= row_norms[active, None]
-    n_active = int(np.count_nonzero(active))
-    if max_sweeps > 0 and n_active < 2:
-        raise SizeError(f"need at least 2 points per plane, got {n_active}")
+    scale = np.where(row_norms > 0.0, row_norms, 1.0)[:, None] if normalize else 1.0
+    working /= scale
     columns = working.T.copy()
     turns = np.eye(k)
     squares = columns * columns
     trace = [_objective(squares, squares.sum(axis=1), n)]
-    sweeps, converged = _pairwise_sweeps(
-        columns, turns, active, min(max_sweeps, WARM_SWEEPS), tol, trace
-    )
-    if not converged and sweeps < max_sweeps:
+    sweeps, converged = _pairwise_sweeps(columns, turns, min(MAX_SWEEPS, WARM_SWEEPS), trace)
+    if not converged and sweeps < MAX_SWEEPS:
         _svd_iterations(columns, turns, trace)
-        certified, converged = _pairwise_sweeps(
-            columns, turns, active, max_sweeps - sweeps, tol, trace
-        )
+        certified, converged = _pairwise_sweeps(columns, turns, MAX_SWEEPS - sweeps, trace)
         sweeps += certified
-    working = np.ascontiguousarray(columns.T)
-    if normalize:
-        working[active] *= row_norms[active, None]
+    working = np.ascontiguousarray(columns.T) * scale
     rotated = LoadingMatrix(working, loadings.variable_labels)
     rotation = np.ascontiguousarray(turns.T)
     return RotationResult(rotated, rotation, sweeps, tuple(trace), converged)

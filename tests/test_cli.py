@@ -1,4 +1,4 @@
-import functools
+import importlib
 import subprocess
 import sys
 
@@ -13,7 +13,6 @@ import facpca.stats
 from facpca.cli import main
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import read_data_csv
-from facpca import varimax
 
 import numeric_csv_oracle
 from conftest import dense_factor_correlation
@@ -203,7 +202,7 @@ def test_unconverged_varimax_is_reported(tmp_path, capsys, monkeypatch, command)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main([command, "--corr", str(path), *_out_flag(command, tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.setattr(facpca.reporting, "varimax", functools.partial(varimax, max_sweeps=1))
+    monkeypatch.setattr(importlib.import_module("facpca.varimax"), "MAX_SWEEPS", 1)
     assert main([command, "--corr", FIXTURE, *_out_flag(command, tmp_path / "weather")]) == 0
     assert capsys.readouterr().err == "warning: varimax stopped after 1 sweeps without converging\n"
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from facpca import DataError, ParseError, SizeError, ThresholdError
+from facpca import DataError, ParseError, ShapeError, SizeError, ThresholdError
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import (
     G12_PASS_CELLS,
@@ -211,6 +211,19 @@ def test_block_writer_matches_oracle_on_special_values(rows):
 def test_block_writer_writes_a_blank_line_per_row_without_columns(rows):
     ours, oracle = _written_by_both([], np.empty((rows, 0)))
     assert ours == oracle == b"\n" * (rows + 1)
+
+
+@pytest.mark.parametrize(
+    "labels, values",
+    [(["a", "b"], np.ones((3, 2, 2))), (["a", "b"], np.ones(3)), (["a"], np.ones((3, 2))),
+     (["a", "b", "c"], np.ones((3, 2))), ([], np.ones((2, 1)))],
+    ids=["3-D", "1-D", "fewer-labels", "more-labels", "no-labels"],
+)
+def test_block_writer_refuses_a_shape_before_making_the_file(tmp_path, labels, values):
+    path = tmp_path / "block.csv"
+    with pytest.raises(ShapeError, match="one column per label"):
+        write_numeric_csv(path, labels, values)
+    assert not path.exists()
 
 
 def test_block_writer_streams_the_kernel_passes(monkeypatch):

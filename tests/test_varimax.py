@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import varimax_oracle
 
 from facpca import (
+    Analysis,
     DataError,
     LoadingMatrix,
     SizeError,
@@ -269,9 +270,9 @@ def test_zero_rows_pass_through_unchanged():
 
 @pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("max_sweeps", [0, 9, 50])
-def test_rows_longer_than_one_are_refused_before_rotating(normalize, max_sweeps):
-    # row v1 has length 1.15: at max_sweeps=9 the SVD phase would turn it into
-    # an entry above 1, the pairwise loop alone would not
+def test_rows_longer_than_one_are_refused_before_rotating(monkeypatch, normalize, max_sweeps):
+    # row v1 has length 1.15: with a budget of 9 sweeps the SVD phase would turn
+    # it into an entry above 1, the pairwise loop alone would not
     entries = [
         [0.0, 0.0, 0.0, 0.0],
         [0.875, 0.0, 0.75, 0.0],
@@ -282,15 +283,19 @@ def test_rows_longer_than_one_are_refused_before_rotating(normalize, max_sweeps)
         [0.25, 0.5, 0.25, 0.0],
     ]
     loadings = LoadingMatrix(entries, tuple(f"v{i}" for i in range(7)))
-    for rotate in (varimax, varimax_oracle.varimax):
-        with pytest.raises(DataError, match="row 'v1' has length 1.15244"):
-            rotate(loadings, normalize=normalize, max_sweeps=max_sweeps)
+    refused = "row 'v1' has length 1.15244"
+    with monkeypatch.context() as patch, pytest.raises(DataError, match=refused):
+        patch.setattr(varimax_module, "MAX_SWEEPS", max_sweeps)
+        varimax(loadings, normalize=normalize)
+    with pytest.raises(DataError, match=refused):
+        varimax_oracle.varimax(loadings, normalize=normalize, max_sweeps=max_sweeps)
     unit = LoadingMatrix([[1.0, 0.0], [0.6, 0.8], [0.0, 0.5]], ("a", "b", "c"))
     assert np.all(np.abs(varimax(unit, normalize=normalize).rotated.entries) <= 1.0 + 1e-9)
 
 
-def test_sweep_budget_flags_nonconvergence(weather_loadings):
-    result = varimax(truncate(weather_loadings, 4), max_sweeps=1)
+def test_sweep_budget_flags_nonconvergence(monkeypatch, weather_loadings):
+    monkeypatch.setattr(varimax_module, "MAX_SWEEPS", 1)
+    result = varimax(truncate(weather_loadings, 4))
     assert result.sweeps_used == 1
     assert not result.converged
 
@@ -381,9 +386,18 @@ def loading_matrices(draw):
     9,
 )
 def test_sweep_is_bit_identical_to_oracle(loadings, normalize, max_sweeps):
-    options = {"normalize": normalize, "max_sweeps": max_sweeps}
-    expected = _rotation_outcome(varimax_oracle.varimax, loadings, **options)
-    actual = _rotation_outcome(varimax, loadings, **options)
+    expected = _rotation_outcome(
+        varimax_oracle.varimax, loadings, normalize=normalize, max_sweeps=max_sweeps
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(varimax_module, "MAX_SWEEPS", max_sweeps)
+        if np.any(_row_norms(loadings.entries) == 0.0) and expected[0] is not DataError:
+            # the oracle leaves a row of length 0 out of the angle; the rotation
+            # maximizes the one criterion over all n rows
+            result = varimax(loadings, normalize=normalize)
+            _assert_zero_rows_stay_zero_and_certified(loadings, normalize, result)
+            return
+        actual = _rotation_outcome(varimax, loadings, normalize=normalize)
     if _settles_in_warm_up(expected, max_sweeps):
         assert actual == expected
         return
@@ -455,10 +469,25 @@ def test_dense_rotation_matrix_rebuilds_the_loadings(dense_run):
 
 
 def test_dense_result_is_certified_in_every_plane(dense_run):
-    loadings, normalize, result = dense_run
+    _assert_certified(*dense_run)
+
+
+def _row_norms(entries):
+    return np.sqrt(np.sum(np.asarray(entries) ** 2, axis=1))
+
+
+def _assert_certified(loadings, normalize, result):
+    """No plane offset within 0.05 rad of the result gains 1e-9 of its objective.
+
+    With ``normalize``, the rows are scaled back to unit length first (a row
+    of length 0 stays as it is), since Kaiser's criterion is maximized there.
+    A plane whose angle terms both lie below ``ANGLE_EPS`` in absolute value
+    counts as featureless and is never rotated, so it is not checked.
+    """
     working = result.rotated.entries
     if normalize:
-        working = working / np.linalg.norm(loadings.entries, axis=1, keepdims=True)
+        norms = _row_norms(loadings.entries)[:, None]
+        working = working / np.where(norms > 0.0, norms, 1.0)
     base = varimax_objective(working)
     assert base == pytest.approx(result.objective_trace[-1], rel=1e-12)
     offsets = np.arange(-0.05, 0.05 + 1e-12, 1e-3)[:, None]
@@ -469,6 +498,8 @@ def test_dense_result_is_certified_in_every_plane(dense_run):
         x = working[:, p]
         for q in range(p + 1, k):
             y = working[:, q]
+            if optimal_plane_angle(x, y) is None:
+                continue
             gains = -_pair_objective(x, y, 0.0)
             for column in (x * cos + y * sin, -x * sin + y * cos):
                 squares = column**2
@@ -492,6 +523,66 @@ def test_dense_zero_rows_pass_through_unchanged(model, normalize):
     assert result.converged
     assert np.all(result.rotated.entries[zero] == 0.0)
     assert np.all(np.isfinite(result.rotated.entries))
+
+
+def _assert_zero_rows_stay_zero_and_certified(loadings, normalize, result):
+    zero = np.all(loadings.entries == 0.0, axis=1)
+    assert np.all(result.rotated.entries[zero] == 0.0)
+    assert np.all(np.diff(result.objective_trace) >= 0.0)
+    if result.converged:
+        _assert_certified(loadings, normalize, result)
+
+
+def _block_correlation_csv(path):
+    """A 3-factor block of 8 variables bordered by 2 independent ones, as ``%.17g`` cells.
+
+    Its eigenvalues are 2.575, 1.736, 1.005, then 1, 1, ...: three factors
+    keep all-zero loading rows for the independent variables v8 and v9.
+    """
+    rng = np.random.default_rng(2)
+    block = rng.uniform(-0.75, 0.75, (8, 3))
+    block /= np.maximum(1.0, np.linalg.norm(block, axis=1, keepdims=True) / 0.95)
+    corr = np.eye(10)
+    corr[:8, :8] = block @ block.T
+    np.fill_diagonal(corr, 1.0)
+    labels = [f"v{i}" for i in range(10)]
+    lines = ["," + ",".join(labels)]
+    lines += [f"{label}," + ",".join("%.17g" % v for v in row) for label, row in zip(labels, corr)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_block_matrix_rotation_counts_its_zero_rows(tmp_path):
+    # the warm-up converges here on its own, so no SVD phase hides a
+    # criterion that leaves the zero rows out
+    analysis = Analysis(_block_correlation_csv(tmp_path / "block.csv"), "corr", factors=3)
+    assert np.all(analysis.truncated.entries[8:] == 0.0)
+    result = analysis.rotation
+    assert result.converged
+    assert result.sweeps_used <= WARM_SWEEPS
+    _assert_zero_rows_stay_zero_and_certified(analysis.truncated, True, result)
+
+
+@pytest.mark.parametrize("normalize", [True, False], ids=["kaiser", "raw"])
+def test_small_rotation_with_zero_rows_is_certified(normalize):
+    rng = np.random.default_rng(1)
+    entries = np.array(random_loadings(rng, 12, 3).entries)
+    entries[rng.permutation(12)[:6]] = 0.0
+    loadings = LoadingMatrix(entries, tuple(f"v{i}" for i in range(12)))
+    result = varimax(loadings, normalize=normalize)
+    assert result.converged
+    _assert_zero_rows_stay_zero_and_certified(loadings, normalize, result)
+
+
+def test_all_zero_loadings_come_back_unrotated():
+    loadings = LoadingMatrix(np.zeros((3, 2)), ("x", "y", "z"))
+    result = varimax(loadings)
+    assert result.converged
+    assert np.all(result.rotated.entries == 0.0)
+    assert np.all(result.rotation == np.eye(2))
+    assert result.objective_trace == (0.0, 0.0)
+    with pytest.raises(SizeError, match="at least 2 points per plane, got 0"):
+        varimax_oracle.varimax(loadings)
 
 
 def test_without_svd_iterations_the_certificate_continues_the_oracle(monkeypatch):
