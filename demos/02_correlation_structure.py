@@ -9,7 +9,7 @@ variance, then shows the cosine identity on raw columns.
 
 import numpy as np
 
-from facpca import correlation
+from facpca import DataMatrix, correlation_matrix
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import read_correlation_csv
 
@@ -34,5 +34,6 @@ xc = x - x.mean()
 yc = y - y.mean()
 cosine = float(xc @ yc / (np.linalg.norm(xc) * np.linalg.norm(yc)))
 print("\ncosine identity on synthetic columns:")
-print(f"  correlation(x, y) = {correlation(x, y):.12f}")
+r = correlation_matrix(DataMatrix(np.column_stack([x, y]), ("x", "y"))).entries[0, 1]
+print(f"  correlation(x, y) = {r:.12f}")
 print(f"  cos(x, y)         = {cosine:.12f}")

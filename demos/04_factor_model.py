@@ -17,7 +17,6 @@ from facpca import (
     full_loadings,
     minvar_count,
     truncate,
-    verify_artifact,
 )
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import read_correlation_csv
@@ -39,7 +38,7 @@ for label, common, weight in zip(
     print(f"  {label}: communality = {common * 100:6.2f}%   unique weight = {weight:.4f}")
 
 # the loading matrix expressed in the eigenvector basis is symmetric
-product, _ = verify_artifact(loadings, eig.eigenvectors)
+product = loadings.entries @ eig.eigenvectors.T
 print("\nloadings in the eigenvector basis (symmetric by construction):")
 print(f"  max|M - M'| = {np.max(np.abs(product - product.T)):.2e}")
 print(f"  M[0, 0] = {product[0, 0]:.3f}, M[1, 2] = {product[1, 2]:.3f}")

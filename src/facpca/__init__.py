@@ -5,7 +5,8 @@ correlation, LAPACK eigendecomposition with a defined order for tied
 eigenvalues, factor loadings, Varimax rotation) and a retention rule that
 keeps adding factors until every variable has most of its variance
 explained.  ``Analysis`` runs that pipeline on one input, each stage at
-most once; its ``scores`` are the modified PCA's component scores.
+most once; its ``scores`` are the modified PCA's component scores, the
+standardized data that ``project`` puts onto the leading eigenvectors.
 """
 
 from .eigen import EigenDecomposition, eigen_symmetric
@@ -31,7 +32,7 @@ from .factors import (
     simulate,
     truncate,
 )
-from .pipeline import pc_variable_determination, project, verify_artifact
+from .pipeline import project
 from .reporting import Analysis
 from .retention import (
     RetentionReport,
@@ -47,13 +48,12 @@ from .stats import (
     CorrelationMatrix,
     DataMatrix,
     VariableStats,
-    correlation,
     correlation_matrix,
     determination_matrix,
     standardize,
     summarize,
 )
-from .varimax import RotationResult, optimal_plane_angle, varimax, varimax_objective
+from .varimax import RotationResult, varimax, varimax_objective
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "CorrelationMatrix",
     "summarize",
     "standardize",
-    "correlation",
     "correlation_matrix",
     "determination_matrix",
     # eigen
@@ -82,7 +81,6 @@ __all__ = [
     # varimax
     "RotationResult",
     "varimax_objective",
-    "optimal_plane_angle",
     "varimax",
     # retention
     "RetentionReport",
@@ -95,8 +93,6 @@ __all__ = [
     "scree_data",
     # pipeline
     "project",
-    "pc_variable_determination",
-    "verify_artifact",
     # reporting
     "Analysis",
     # errors

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+LOADING_MAX = 1.0 + 1e-9  # largest |loading| a ``LoadingMatrix`` accepts: 1 up to rounding
+
+
 def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
 
@@ -52,7 +55,7 @@ class LoadingMatrix:
         labels = tuple(str(label) for label in self.variable_labels)
         if len(labels) != n or len(set(labels)) != n:
             raise DataError("need one distinct label per variable")
-        if np.any(np.abs(entries) > 1.0 + 1e-9):
+        if np.any(np.abs(entries) > LOADING_MAX):
             raise DataError("loadings are correlations and must lie in [-1, 1]")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)

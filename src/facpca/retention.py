@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderError, SizeError, ThresholdError
+from .errors import DataError, OrderError, SizeError, ThresholdError
 from .factors import LoadingMatrix
 
 __all__ = [
@@ -75,6 +75,8 @@ def _sorted_eigenvalues(eigenvalues) -> np.ndarray:
     values = np.array(eigenvalues, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise OrderError("need a non-empty one-dimensional eigenvalue sequence")
+    if not np.all(np.isfinite(values)):
+        raise DataError("eigenvalues must be finite")
     if np.any(np.diff(values) > 0):
         raise OrderError("eigenvalues must be sorted non-increasing")
     return values

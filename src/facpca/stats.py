@@ -22,7 +22,6 @@ __all__ = [
     "CorrelationMatrix",
     "summarize",
     "standardize",
-    "correlation",
     "correlation_matrix",
     "determination_matrix",
 ]
@@ -122,14 +121,14 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
-def _as_column(values, name: str = "input") -> np.ndarray:
+def _as_column(values) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
-        raise SizeError(f"{name} must be one-dimensional")
+        raise SizeError("column must be one-dimensional")
     if x.size < 2:
-        raise SizeError(f"{name} needs at least 2 observations, got {x.size}")
+        raise SizeError(f"column needs at least 2 observations, got {x.size}")
     if not np.all(np.isfinite(x)):
-        raise DataError(f"{name} contains non-finite values")
+        raise DataError("column contains non-finite values")
     return x
 
 
@@ -140,7 +139,7 @@ def summarize(column) -> VariableStats:
     smallest value.  The median of an even-length column is the midpoint of
     the two central values.  Median and mode are read from one sorted copy.
     """
-    x = _as_column(column, "column")
+    x = _as_column(column)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(x.mean())
     if not math.isfinite(mean):
@@ -204,22 +203,6 @@ def standardize(data: DataMatrix) -> DataMatrix:
     """Shift each column to mean 0 and scale to biased standard deviation 1."""
     unit = data._unit
     return DataMatrix(unit / np.sqrt(np.mean(unit**2, axis=0)), data.labels)
-
-
-def correlation(a, b) -> float:
-    """Pearson correlation of two equally long, nonconstant sequences.
-
-    The off-diagonal entry of ``correlation_matrix`` on the two columns, so
-    it is exactly symmetric in its arguments.
-    """
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.shape != y.shape:
-        raise SizeError(f"length mismatch: {x.shape} vs {y.shape}")
-    x = _as_column(x, "first input")
-    y = _as_column(y, "second input")
-    pair = DataMatrix(np.column_stack([x, y]), ("first input", "second input"))
-    return float(correlation_matrix(pair).entries[0, 1])
 
 
 def correlation_matrix(data: DataMatrix) -> CorrelationMatrix:

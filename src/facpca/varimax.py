@@ -35,12 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SizeError
-from .factors import LoadingMatrix
+from .factors import LOADING_MAX, LoadingMatrix
 
 __all__ = [
     "RotationResult",
     "varimax_objective",
-    "optimal_plane_angle",
     "varimax",
 ]
 
@@ -50,7 +49,6 @@ TOL = 1e-9  # relative objective gain of a pairwise sweep below which it has con
 WARM_SWEEPS = 8  # pairwise sweeps before the SVD iterations take over
 SVD_TOL = 1e-11  # relative objective gain below which an SVD iteration is dropped
 SVD_MAX = 5000  # SVD iterations at most, before the certificate sweeps
-ROW_NORM_MAX = 1.0 + 1e-9  # the bound ``LoadingMatrix`` puts on each entry
 
 
 @dataclass(frozen=True)
@@ -81,14 +79,14 @@ class RotationResult:
 
 
 def _check_row_norms(row_norms: np.ndarray, labels: tuple[str, ...]) -> None:
-    """Reject loadings with a row longer than ``ROW_NORM_MAX``.
+    """Reject loadings with a row longer than ``LOADING_MAX``.
 
     A rotation keeps each row's length, so such a row (a communality above
     1) could come out with an entry outside [-1, 1] or not, depending on
     where the rotation ends; it is refused before any rotation instead.
     """
     longest = int(np.argmax(row_norms))
-    if row_norms[longest] > ROW_NORM_MAX:
+    if row_norms[longest] > LOADING_MAX:
         raise DataError(
             f"loading row {labels[longest]!r} has length {row_norms[longest]:.12g} > 1:"
             " its communality exceeds 1"
@@ -113,25 +111,13 @@ def varimax_objective(loadings) -> float:
     return _objective(squares, squares.sum(axis=1), a.shape[0])
 
 
-def optimal_plane_angle(x, y) -> float | None:
-    """Rotation angle maximizing the two-column objective for points (x, y).
+def _plane_angle(xs: np.ndarray, ys: np.ndarray, n: int) -> float | None:
+    """Rotation angle maximizing the two-column objective for the n points (xs, ys).
 
     Returns the angle in (-pi/4, pi/4], or None when both the numerator and
     the denominator of the angle equation vanish (the plane carries no
-    preference and should be skipped).
+    preference and is skipped).  The float arrays have length ``n`` >= 2.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise SizeError("need two equally long one-dimensional sequences")
-    n = xs.size
-    if n < 2:
-        raise SizeError(f"need at least 2 points per plane, got {n}")
-    return _plane_angle(xs, ys, n)
-
-
-def _plane_angle(xs: np.ndarray, ys: np.ndarray, n: int) -> float | None:
-    """``optimal_plane_angle`` on float arrays of length ``n`` >= 2, unchecked."""
     u = xs**2 - ys**2
     v = 2.0 * xs * ys
     sum_u = float(u.sum())

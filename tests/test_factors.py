@@ -14,7 +14,7 @@ from facpca import (
     SizeError,
     build_model,
     communalities,
-    correlation,
+    correlation_matrix,
     eigen_symmetric,
     full_loadings,
     minvar_count,
@@ -244,7 +244,7 @@ def test_simulate_two_variable_correlation():
     eig = eigen_symmetric(TWO_VAR, correlation_input=True)
     model = build_model(full_loadings(eig))
     drawn = simulate(model, 100_000, seed=11)
-    r = correlation(drawn.column(0), drawn.column(1))
+    r = correlation_matrix(drawn).entries[0, 1]
     assert r == pytest.approx(0.6, abs=0.02)
 
 
@@ -252,7 +252,7 @@ def test_simulate_three_factor_model_implied_correlation(weather_loadings):
     model = build_model(truncate(weather_loadings, 3))
     implied = (model.loadings.entries @ model.loadings.entries.T)[1, 2]
     drawn = simulate(model, 100_000, seed=29)
-    r = correlation(drawn.column(1), drawn.column(2))
+    r = correlation_matrix(drawn).entries[1, 2]
     assert r == pytest.approx(implied, abs=0.03)
 
 
@@ -262,7 +262,5 @@ def test_simulate_sample_correlation_converges_to_model(weather_loadings):
         model.unique_weights**2
     )
     drawn = simulate(model, 100_000, seed=31)
-    from facpca import correlation_matrix
-
     sample = correlation_matrix(drawn).entries
     assert np.max(np.abs(sample - implied)) < 0.02

@@ -6,18 +6,13 @@ from facpca import (
     Analysis,
     DataMatrix,
     DegenerateColumnError,
-    InconsistentModelError,
     ShapeError,
-    SizeError,
     build_model,
     eigen_symmetric,
     full_loadings,
-    pc_variable_determination,
     project,
     simulate,
     standardize,
-    truncate,
-    verify_artifact,
 )
 
 from conftest import random_correlation_psd
@@ -165,7 +160,8 @@ def test_full_projection_is_invertible(weather_synthetic):
 
 
 # ---------------------------------------------------------------------------
-# pc_variable_determination
+# the vector interpretation: squared correlations between variables and
+# scores are the squared loadings, and L @ U.T is symmetric
 
 
 def test_determination_equals_squared_loadings(weather_synthetic):
@@ -174,51 +170,18 @@ def test_determination_equals_squared_loadings(weather_synthetic):
 
     eig = eigen_symmetric(correlation_matrix(data).entries, correlation_input=True)
     scores = project(data, eig.eigenvectors, eig.size)
-    determination = pc_variable_determination(data, scores)
+    n = data.n_variables
+    determination = np.corrcoef(data.values, scores, rowvar=False)[:n, n:] ** 2
     loadings = full_loadings(eig, WEATHER_LABELS)
     assert np.max(np.abs(determination - loadings.entries**2)) < 1e-6
     assert np.max(np.abs(determination.sum(axis=1) - 1.0)) < 1e-6
     assert np.max(np.abs(determination.sum(axis=0) - eig.eigenvalues)) < 1e-6
 
 
-def test_determination_identity_pattern():
-    # exactly uncorrelated columns (orthogonalized) scored with U = I
-    rng = np.random.default_rng(45)
-    raw = rng.standard_normal((200, 3))
-    q, _ = np.linalg.qr(raw - raw.mean(axis=0))
-    data = standardize(DataMatrix(q, ("a", "b", "c")))
-    determination = pc_variable_determination(data, np.array(data.values))
-    assert np.max(np.abs(determination - np.eye(3))) < 1e-10
-
-
-def test_determination_zero_variance_column_warns():
-    rng = np.random.default_rng(46)
-    x = rng.standard_normal(300)
-    data = DataMatrix(np.column_stack([x, 2.0 * x]), ("x", "y"))
-    std = standardize(data)
-    eig = eigen_symmetric(
-        np.array([[1.0, 1.0], [1.0, 1.0]]), correlation_input=True
-    )
-    scores = project(std, eig.eigenvectors, 2)
-    with pytest.warns(UserWarning, match="zero variance"):
-        determination = pc_variable_determination(std, scores)
-    assert_allclose(determination[:, 1], [0.0, 0.0])
-
-
-def test_determination_row_count_check(weather_synthetic):
-    data = standardize(weather_synthetic)
-    with pytest.raises(ShapeError):
-        pc_variable_determination(data, np.zeros((10, 2)))
-
-
-# ---------------------------------------------------------------------------
-# verify_artifact
-
-
 def test_weather_basis_product_matches_reference(weather_eig):
     loadings = full_loadings(weather_eig, WEATHER_LABELS)
-    product, symmetric = verify_artifact(loadings, weather_eig.eigenvectors)
-    assert symmetric
+    product = loadings.entries @ weather_eig.eigenvectors.T
+    assert np.max(np.abs(product - product.T)) < 1e-10
     assert np.max(np.abs(product - REF_BASIS_PRODUCT)) < 5e-3
     assert product[0, 0] == pytest.approx(0.987, abs=5e-3)
     assert product[1, 2] == pytest.approx(0.508, abs=5e-3)
@@ -226,7 +189,7 @@ def test_weather_basis_product_matches_reference(weather_eig):
 
 def test_identity_input_gives_identity_product():
     eig = eigen_symmetric(np.eye(4), correlation_input=True)
-    product, _ = verify_artifact(full_loadings(eig), eig.eigenvectors)
+    product = full_loadings(eig).entries @ eig.eigenvectors.T
     assert_allclose(product, np.eye(4), atol=1e-12)
 
 
@@ -236,19 +199,5 @@ def test_product_symmetry_for_100_random_psd_matrices():
         n = int(rng.integers(2, 10))
         r = random_correlation_psd(rng, n)
         eig = eigen_symmetric(r, correlation_input=True)
-        product, symmetric = verify_artifact(full_loadings(eig), eig.eigenvectors)
-        assert symmetric
+        product = full_loadings(eig).entries @ eig.eigenvectors.T
         assert np.max(np.abs(product - product.T)) < 1e-10
-
-
-def test_mismatched_basis_raises(weather_eig):
-    loadings = full_loadings(weather_eig, WEATHER_LABELS)
-    shuffled = np.array(weather_eig.eigenvectors)[:, ::-1]
-    with pytest.raises(InconsistentModelError):
-        verify_artifact(loadings, shuffled)
-
-
-def test_artifact_needs_full_loadings(weather_eig):
-    loadings = truncate(full_loadings(weather_eig, WEATHER_LABELS), 3)
-    with pytest.raises(SizeError):
-        verify_artifact(loadings, weather_eig.eigenvectors)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from facpca import (
+    DataError,
     EigenDecomposition,
     LoadingMatrix,
     OrderError,
@@ -58,6 +61,19 @@ def test_variance_table_uniform_eigenvalues():
 def test_variance_table_rejects_unsorted():
     with pytest.raises(OrderError):
         variance_table([1.0, 2.0, 0.5])
+
+
+# each non-finite value where the order check alone would let it pass: a nan
+# is neither above nor below its neighbours
+@pytest.mark.parametrize(
+    "eigenvalues", [[np.inf, 1.0, 0.5], [2.0, np.nan, 0.5], [2.0, 1.0, -np.inf]]
+)
+@pytest.mark.parametrize("stage", [variance_table, scree_data])
+def test_non_finite_eigenvalues_are_refused(stage, eigenvalues):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^eigenvalues must be finite$"):
+            stage(eigenvalues)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from facpca import (
     DataMatrix,
     DegenerateColumnError,
     SizeError,
-    correlation,
     correlation_matrix,
     determination_matrix,
     standardize,
@@ -222,29 +221,28 @@ def test_standardize_a_spread_beyond_the_square_root_of_the_largest_float():
 
 
 # ---------------------------------------------------------------------------
-# correlation
+# correlation of two columns
 
 
 def test_correlation_exact_linear_dependence():
-    assert correlation([1, 2, 3, 4], [2, 4, 6, 8]) == 1.0
+    assert correlation_matrix(_matrix([[1, 2, 3, 4], [2, 4, 6, 8]])).entries[0, 1] == 1.0
 
 
 def test_correlation_reversed_order():
-    assert correlation([1, 2, 3, 4], [4, 3, 2, 1]) == -1.0
+    assert correlation_matrix(_matrix([[1, 2, 3, 4], [4, 3, 2, 1]])).entries[0, 1] == -1.0
 
 
 def test_correlation_hand_computed():
     # centered dot product 4.0 over norms sqrt(5)*sqrt(5)
-    assert correlation([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+    r = correlation_matrix(_matrix([[1, 2, 3, 4], [1, 3, 2, 4]])).entries[0, 1]
+    assert r == pytest.approx(0.8)
 
 
 def test_correlation_errors():
-    with pytest.raises(SizeError):
-        correlation([1, 2, 3], [1, 2])
     with pytest.raises(DegenerateColumnError):
-        correlation([1, 1, 1], [1, 2, 3])
+        correlation_matrix(_matrix([[1, 1, 1], [1, 2, 3]]))
     with pytest.raises(DegenerateColumnError):
-        correlation([1, 2, 3], [5, 5, 5])
+        correlation_matrix(_matrix([[1, 2, 3], [5, 5, 5]]))
 
 
 @pytest.mark.parametrize("column", WIDE_COLUMNS)
@@ -253,7 +251,7 @@ def test_correlation_of_a_range_beyond_the_largest_float(column):
     y = np.arange(1.0, x.size + 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = correlation(x, y)
+        r = correlation_matrix(_matrix([x, y])).entries[0, 1]
     assert r == pytest.approx(np.corrcoef(x / np.max(np.abs(x)), y)[0, 1], rel=0.0, abs=1e-14)
 
 
@@ -282,8 +280,8 @@ def nonconstant_pairs(draw, elements=finite_floats, spread=None):
 @settings(max_examples=150, deadline=None)
 def test_correlation_symmetric_and_bounded(pair):
     a, b = pair
-    r = correlation(a, b)
-    assert r == correlation(b, a)
+    r = correlation_matrix(_matrix([a, b])).entries[0, 1]
+    assert r == correlation_matrix(_matrix([b, a])).entries[0, 1]
     assert abs(r) <= 1.0 + 1e-12
 
 
@@ -296,7 +294,8 @@ def test_correlation_symmetric_and_bounded(pair):
 def test_correlation_affine_invariance(pair, slope, offset):
     a, b = pair
     rescaled = [slope * v + offset for v in a]
-    assert correlation(rescaled, b) == pytest.approx(correlation(a, b), abs=1e-9)
+    r = correlation_matrix(_matrix([a, b])).entries[0, 1]
+    assert correlation_matrix(_matrix([rescaled, b])).entries[0, 1] == pytest.approx(r, abs=1e-9)
 
 
 def test_correlation_unchanged_by_standardization():
@@ -304,7 +303,8 @@ def test_correlation_unchanged_by_standardization():
     a = rng.normal(10, 4, 200)
     b = 0.4 * a + rng.normal(0, 2, 200)
     data = standardize(_matrix([a, b]))
-    assert correlation(data.column(0), b) == pytest.approx(correlation(a, b), abs=1e-12)
+    r = correlation_matrix(_matrix([a, b])).entries[0, 1]
+    assert correlation_matrix(_matrix([data.column(0), b])).entries[0, 1] == pytest.approx(r, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import facpca.reporting as reporting
 from facpca.eigen import eigen_symmetric
+from facpca.errors import DataError
 from facpca.factors import LoadingMatrix, full_loadings, truncate
 from facpca.retention import RetentionReport, minvar_count, variance_table
 from facpca.stats import CorrelationMatrix, DataMatrix
@@ -153,6 +154,10 @@ def test_retention_table_matches_oracle(data, n):
     counts = np.array(data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
     report = RetentionReport(min_var, aver_var, counts, 1, 0.51, np.zeros((n, n)))
     eigenvalues = np.sort(_matrix(data.draw, (n,), ANY))[::-1]
+    if not np.all(np.isfinite(eigenvalues)):
+        with pytest.raises(DataError, match="^eigenvalues must be finite$"):
+            variance_table(eigenvalues)
+        return
     _same(
         reporting.retention_table(report, variance_table(eigenvalues)),
         oracle.retention_table(report, eigenvalues),

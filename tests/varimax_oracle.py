@@ -2,8 +2,8 @@
 
 Kept, with the objective and angle helpers it called, as the reference
 for the lean sweep, which must reproduce it bit for bit: every pair calls
-the validating ``optimal_plane_angle`` on boolean-indexed copies of the
-active rows and evaluates four column objectives.
+the validating ``plane_angle`` on boolean-indexed copies of the active
+rows and evaluates four column objectives.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def varimax_objective(a: np.ndarray) -> float:
     return sum(_column_objective(a[:, j], n_rows) for j in range(a.shape[1]))
 
 
-def optimal_plane_angle(x, y) -> float | None:
+def plane_angle(x, y) -> float | None:
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -86,7 +86,7 @@ def varimax(
     for _ in range(max_sweeps):
         for p in range(k - 1):
             for q in range(p + 1, k):
-                angle = optimal_plane_angle(working[active, p], working[active, q])
+                angle = plane_angle(working[active, p], working[active, q])
                 if angle is None:
                     continue
                 c = math.cos(angle)
