@@ -26,7 +26,7 @@ eig = eigen_symmetric(corr.entries, correlation_input=True)
 loadings = full_loadings(eig, corr.labels)
 
 print("cumulative explained variance per variable (percent):")
-cumulative = minvar_count(loadings).cumulative * 100
+cumulative = minvar_count(loadings, 0.51).cumulative * 100
 for label, row in zip(loadings.variable_labels, cumulative):
     print(f"  {label}: " + "  ".join(f"{v:6.2f}" for v in row))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import DataError, FacpcaError
@@ -35,23 +36,26 @@ from .reporting import (
 )
 from .varimax import RotationResult
 
+# a flag that sets an Analysis field stays out of the namespace when not given
 _FLAGS = {
     "--input": dict(metavar="PATH", help="raw observation CSV (header of labels, numeric rows)"),
     "--corr": dict(metavar="PATH", help="correlation matrix CSV (labeled square block)"),
-    # left out of the namespace when not given, so Analysis holds the one default
     "--epsilon": dict(type=float, default=argparse.SUPPRESS,
-                      help="minimum explained-variance share per variable, in (0.5, 1] (default 0.51)"),
-    "--factors": dict(type=int, default=None,
+                      help="minimum explained-variance share per variable, in (0.5, 1]"
+                           f" (default {Analysis.epsilon:g})"),
+    "--factors": dict(type=int, default=argparse.SUPPRESS,
                       help="fix the number of factors/components instead of the min-variance rule"),
-    "--rotate": dict(choices=["varimax", "none"], default="varimax",
-                     help="rotation applied to truncated loadings (default varimax)"),
+    "--rotate": dict(choices=["varimax", "none"], default=argparse.SUPPRESS,
+                     help=f"rotation applied to truncated loadings (default {Analysis.rotate})"),
     "--no-kaiser-normalize": dict(dest="kaiser_normalize", action="store_false",
+                                  default=argparse.SUPPRESS,
                                   help="rotate raw rows instead of unit-length rows"),
     "--format": dict(choices=["csv", "json"], default="csv",
                      help="file format of the report (default csv)"),
     "--out": dict(metavar="DIR", help="output directory (default: $FACPCA_OUT, else current directory)"),
-    "--percent": dict(type=float, default=80.0,
-                      help="threshold for the explained-variance criterion (default 80)"),
+    "--percent": dict(type=float, default=argparse.SUPPRESS,
+                      help="threshold for the explained-variance criterion"
+                           f" (default {Analysis.percent:g})"),
     "--seed": dict(type=int, default=0, help="random seed for simulation"),
     "--draws": dict(type=int, default=1000, help="number of simulated observations"),
 }
@@ -87,13 +91,13 @@ def _analysis(args) -> Analysis:
             if "corr" in given
             else "this subcommand needs raw observations (--input)"
         )
-    if args.command in ("fa", "simulate") and "epsilon" in given and given["factors"] is not None:
+    if args.command in ("fa", "simulate") and "epsilon" in given and "factors" in given:
         raise DataError("--epsilon has no effect with --factors")
-    settings = ("epsilon", "factors", "rotate", "kaiser_normalize")
+    # the namespace holds an Analysis field only when its flag was typed
     return Analysis(
         args.input if corr is None else corr,
         "raw" if corr is None else "corr",
-        **{name: given[name] for name in settings if name in given},
+        **{field.name: given[field.name] for field in fields(Analysis) if field.name in given},
     )
 
 
@@ -141,10 +145,8 @@ def _cmd_eigen(args, analysis: Analysis) -> None:
 
 
 def _cmd_select(args, analysis: Analysis) -> None:
-    # built first, so that a bad --percent fails before anything is printed
-    criteria = criteria_table(analysis, args.percent)
     _print_table("retention", retention_table(analysis.retention, analysis.variance))
-    _print_table("criteria_comparison", criteria)
+    _print_table("criteria_comparison", criteria_table(analysis))
     print(f"chosen number of factors/components: {analysis.retention.chosen}")
 
 
@@ -174,7 +176,7 @@ def _cmd_pca(args, analysis: Analysis) -> None:
 
 
 def _cmd_report(args, analysis: Analysis) -> None:
-    bundle = run_report(analysis, args.out, args.format, args.percent)
+    bundle = run_report(analysis, args.out, args.format)
     _warn_if_unconverged(analysis.rotation)
     print(f"wrote {len(bundle)} tables and the scree plot to {args.out}")
     chosen_by = "--factors" if analysis.factors else f"min_variance(epsilon={analysis.epsilon:g})"

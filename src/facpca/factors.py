@@ -30,10 +30,6 @@ __all__ = [
 LOADING_MAX = 1.0 + 1e-9  # largest |loading| a ``LoadingMatrix`` accepts: 1 up to rounding
 
 
-def default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
 @dataclass(frozen=True)
 class LoadingMatrix:
     """n x k matrix of factor loadings (rows: variables, columns: factors).
@@ -101,19 +97,17 @@ class FactorModel:
         return self.loadings.variable_labels
 
 
-def full_loadings(eig: EigenDecomposition, labels=None) -> LoadingMatrix:
+def full_loadings(eig: EigenDecomposition, labels) -> LoadingMatrix:
     """Square loading matrix: eigenvectors scaled by sqrt of the eigenvalues.
 
     This equals the matrix of correlations between the primary variables and
-    the principal components.
+    the principal components.  ``labels`` names the n variables.
     """
     if np.any(eig.eigenvalues < 0.0):
         raise NotPositiveSemidefiniteError(
             "negative eigenvalue; loadings require a PSD correlation matrix"
         )
     entries = eig.eigenvectors * np.sqrt(eig.eigenvalues)
-    if labels is None:
-        labels = default_labels(eig.size)
     return LoadingMatrix(entries, tuple(labels))
 
 

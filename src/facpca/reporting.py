@@ -523,13 +523,14 @@ def read_correlation_csv(path) -> CorrelationMatrix:
     for row, label in zip(rows, labels):
         if row != label:
             raise DataError(f"{path}: row label {row!r} does not match header label {label!r}")
+    limit = f"limit {INGEST_SYMMETRY_TOL:.0e}"
     asymmetry = float(np.max(np.abs(entries - entries.T)))
     if asymmetry > INGEST_SYMMETRY_TOL:
-        raise DataError(f"{path}: matrix asymmetric by {asymmetry:.3e} (limit 1e-06)")
+        raise DataError(f"{path}: matrix asymmetric by {asymmetry:.3e} ({limit})")
     entries = (entries + entries.T) / 2.0
     diag_error = float(np.max(np.abs(np.diag(entries) - 1.0)))
     if diag_error > INGEST_SYMMETRY_TOL:
-        raise DataError(f"{path}: diagonal deviates from 1 by {diag_error:.3e} (limit 1e-06)")
+        raise DataError(f"{path}: diagonal deviates from 1 by {diag_error:.3e} ({limit})")
     np.fill_diagonal(entries, 1.0)
     overshoot = float(np.max(np.abs(entries))) - 1.0
     if overshoot > INGEST_SYMMETRY_TOL:
@@ -544,9 +545,11 @@ class Analysis:
 
     ``source`` is a CSV path or an in-memory ``DataMatrix`` of observations.
     ``kind`` is ``"raw"`` (observations) or ``"corr"`` (a correlation matrix
-    CSV).  Settings are checked on construction.  ``factors`` fixes the
-    count ``truncated`` keeps, in place of the min-variance rule's count at
-    ``epsilon``; ``rotation`` is None when not rotating.
+    CSV).  The other fields are the settings: each default and check lives
+    here, and all are checked on construction, before any input is read.
+    ``factors`` fixes the count ``truncated`` keeps, in place of the
+    min-variance rule's count at ``epsilon``; ``rotation`` is None when not
+    rotating; ``percent`` is the explained-variance criterion's threshold.
     """
 
     source: str | Path | DataMatrix
@@ -555,6 +558,7 @@ class Analysis:
     factors: int | None = None
     rotate: str = "varimax"
     kaiser_normalize: bool = True
+    percent: float = 80.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("raw", "corr"):
@@ -568,6 +572,8 @@ class Analysis:
             raise DataError(f"unknown rotation {self.rotate!r}")
         if self.rotate == "none" and not self.kaiser_normalize:
             raise DataError("kaiser_normalize=False has no effect with rotate='none'")
+        if not 0.0 < self.percent <= 100.0:
+            raise ThresholdError(f"percent threshold must lie in (0, 100], got {self.percent}")
 
     @cached_property
     def _observations(self) -> tuple[DataMatrix, int]:
@@ -709,18 +715,12 @@ def retention_table(report: RetentionReport, variance: VarianceTable) -> ReportT
     )
 
 
-def _check_percent(percent: float) -> None:
-    if not 0.0 < percent <= 100.0:
-        raise ThresholdError(f"percent threshold must lie in (0, 100], got {percent}")
-
-
-def criteria_table(analysis: Analysis, percent: float) -> ReportTable:
-    """The factor count of each criterion; ``percent`` is the explained-variance threshold."""
-    _check_percent(percent)
+def criteria_table(analysis: Analysis) -> ReportTable:
+    """The factor count of each criterion, at ``analysis.percent`` and ``analysis.epsilon``."""
     counts = (
         kaiser_count(analysis.variance.eigenvalue),
         half_count(analysis.eig.size),
-        percentage_count(analysis.variance, percent),
+        percentage_count(analysis.variance, analysis.percent),
         analysis.retention.chosen,
     )
     return ReportTable(
@@ -728,26 +728,23 @@ def criteria_table(analysis: Analysis, percent: float) -> ReportTable:
         [
             "kaiser",
             "half_of_variables",
-            f"explained_variance({percent:g}%)",
+            f"explained_variance({analysis.percent:g}%)",
             f"min_variance(epsilon={analysis.epsilon:g})",
         ],
         "%d\n%d\n%d\n%d\n" % counts,
     )
 
 
-def run_report(
-    analysis: Analysis, output_dir, output_format: str, percent: float
-) -> dict[str, ReportTable]:
+def run_report(analysis: Analysis, output_dir, output_format: str) -> dict[str, ReportTable]:
     """Write the full report bundle of ``analysis`` into ``output_dir``.
 
     ``output_format`` is ``"csv"`` (one file per table) or ``"json"`` (one
-    ``report.json``); ``percent`` is the explained-variance criterion's
-    threshold.  Returns the tables keyed by name.  The scree series is
+    ``report.json``); the settings, ``percent`` included, are the
+    analysis's own.  Returns the tables keyed by name.  The scree series is
     written as ``scree.txt``/``scree.svg`` next to the tables.
     """
     if output_format not in ("csv", "json"):
         raise DataError(f"unknown output format {output_format!r}")
-    _check_percent(percent)
     bundle = {"summary_statistics": summary_table(analysis.data)} if analysis.kind == "raw" else {}
     bundle["correlation_matrix"], bundle["determination_matrix"] = correlation_tables(analysis.corr)
     explained = explained_variance_table(analysis.variance)
@@ -760,7 +757,7 @@ def run_report(
         analysis.loadings.variable_labels, analysis.retention.cumulative
     )
     bundle["retention"] = retention_table(analysis.retention, analysis.variance)
-    bundle["criteria_comparison"] = criteria_table(analysis, percent)
+    bundle["criteria_comparison"] = criteria_table(analysis)
     bundle["loadings_truncated"] = loading_table(analysis.truncated, with_communality=True)
     bundle["common_variances_truncated"] = common_variance_table(analysis.truncated)
     if analysis.rotation is not None:

@@ -106,7 +106,7 @@ def percentage_count(variance: VarianceTable, threshold_pct: float) -> int:
 def half_count(n: int) -> int:
     """Half the number of variables, rounded down, but at least 1 factor."""
     if n < 1:
-        raise ThresholdError(f"need at least one variable, got {n}")
+        raise SizeError(f"need at least one variable, got {n}")
     return max(1, n // 2)
 
 
@@ -125,7 +125,7 @@ def check_epsilon(epsilon: float) -> None:
         raise ThresholdError(f"epsilon must lie in (0.5, 1], got {epsilon}")
 
 
-def minvar_count(loadings: LoadingMatrix, epsilon: float = 0.51) -> RetentionReport:
+def minvar_count(loadings: LoadingMatrix, epsilon: float) -> RetentionReport:
     """Choose the factor count by the minimum-per-variable-variance rule.
 
     ``loadings`` is the full square loading matrix (``full_loadings``);
@@ -134,8 +134,9 @@ def minvar_count(loadings: LoadingMatrix, epsilon: float = 0.51) -> RetentionRep
     once the worst-explained variable reaches ``epsilon``.  The report
     carries the diagnostics for every prefix 1..n, not just the chosen one.
 
-    ``epsilon`` must exceed 0.5: a variable is considered adequately
-    represented only when most of its variance is.
+    ``epsilon``, which has no default here (``Analysis`` holds it), must
+    exceed 0.5: a variable is considered adequately represented only when
+    most of its variance is.
     """
     check_epsilon(epsilon)
     n = loadings.n_variables

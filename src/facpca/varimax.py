@@ -43,7 +43,7 @@ __all__ = [
     "varimax",
 ]
 
-ANGLE_EPS = 1e-14  # both angle terms below this -> the plane is left alone
+ANGLE_EPS = 1e-14  # angle terms both within this * n * sum(u**2 + v**2) -> plane left alone
 MAX_SWEEPS = 50  # pairwise sweeps at most, warm-up and certificate together
 TOL = 1e-9  # relative objective gain of a pairwise sweep below which it has converged
 WARM_SWEEPS = 8  # pairwise sweeps before the SVD iterations take over
@@ -114,17 +114,20 @@ def varimax_objective(loadings) -> float:
 def _plane_angle(xs: np.ndarray, ys: np.ndarray, n: int) -> float | None:
     """Rotation angle maximizing the two-column objective for the n points (xs, ys).
 
-    Returns the angle in (-pi/4, pi/4], or None when both the numerator and
-    the denominator of the angle equation vanish (the plane carries no
-    preference and is skipped).  The float arrays have length ``n`` >= 2.
+    Returns the angle in (-pi/4, pi/4], or None when both terms of the angle
+    equation are within ``ANGLE_EPS`` times the plane's scale
+    ``n * sum(u**2 + v**2)`` of zero: the plane, an all-zero one included,
+    carries no preference and is skipped.  The arrays have length ``n`` >= 2.
     """
     u = xs**2 - ys**2
     v = 2.0 * xs * ys
     sum_u = float(u.sum())
     sum_v = float(v.sum())
+    uu, vv = u * u, v * v  # as u**2 and v**2, bit for bit
     numerator = 2.0 * (n * float((u * v).sum()) - sum_u * sum_v)
-    denominator = n * float((u**2 - v**2).sum()) - (sum_u**2 - sum_v**2)
-    if abs(numerator) < ANGLE_EPS and abs(denominator) < ANGLE_EPS:
+    denominator = n * float((uu - vv).sum()) - (sum_u**2 - sum_v**2)
+    limit = ANGLE_EPS * n * float((uu + vv).sum())
+    if abs(numerator) <= limit and abs(denominator) <= limit:
         return None
     # atan2 places 4*phi in the quadrant dictated by the two signs
     return math.atan2(numerator, denominator) / 4.0

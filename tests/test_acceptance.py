@@ -147,7 +147,7 @@ def test_criterion_07_basis_product_reproduction(fixture_eig, fixture_loadings):
         n = int(rng.integers(2, 10))
         r = random_correlation_psd(rng, n)
         eig = eigen_symmetric(r, correlation_input=True)
-        product_r = full_loadings(eig).entries @ eig.eigenvectors.T
+        product_r = full_loadings(eig, tuple("abcdefghi"[:n])).entries @ eig.eigenvectors.T
         worst_asym = max(worst_asym, float(np.max(np.abs(product_r - product_r.T))))
     assert worst_asym < 1e-10
     _report(
@@ -241,12 +241,7 @@ def test_criterion_09_property_suite(fixture_loadings):
         assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
     # retention count is monotone in the threshold
-    base = full_loadings(
-        eigen_symmetric(read_correlation_csv(dataset1_corr_path()).entries, correlation_input=True)
-    )
-    counts = [
-        minvar_count(base, float(e)).chosen for e in np.linspace(0.5001, 1.0, 25)
-    ]
+    counts = [minvar_count(fixture_loadings, float(e)).chosen for e in np.linspace(0.5001, 1.0, 25)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     _report("criterion 09 PASS: property suite (oracles, invariants, monotonicity)")

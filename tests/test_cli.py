@@ -1,4 +1,5 @@
 import importlib
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import facpca.retention
 import facpca.stats
 from facpca.cli import main
 from facpca.datasets import dataset1_corr_path
-from facpca.reporting import read_data_csv
+from facpca.reporting import Analysis, read_data_csv
 
 import numeric_csv_oracle
 from conftest import dense_factor_correlation
@@ -489,6 +490,38 @@ def test_kaiser_normalization_without_rotation_is_rejected(tmp_path, capsys, com
         f"facpca {command}: kaiser_normalize=False has no effect with rotate='none'\n"
     )
     assert not out.exists()
+
+
+# the flags that set an Analysis field, by the field they set
+ANALYSIS_FLAGS = {"--epsilon": "epsilon", "--factors": "factors", "--rotate": "rotate",
+                  "--no-kaiser-normalize": "kaiser_normalize", "--percent": "percent"}
+
+
+def _help_entries(capsys, command) -> dict[str, str]:
+    """Each option of the subcommand's --help and its help text, whitespace collapsed."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+    return {entry.split()[0]: entry for entry in re.split(r" (?=--[a-z])", options)}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_defaults_are_the_analysis_defaults(capsys, command):
+    entries = _help_entries(capsys, command)
+    for flag in set(entries) & set(ANALYSIS_FLAGS):
+        default = getattr(Analysis, ANALYSIS_FLAGS[flag])
+        named = re.findall(r"\(default ([^)]*)\)", entries[flag])
+        if default is None or default is True:  # the unset count and the switch name none
+            assert named == [], flag
+        else:
+            assert named == [default if isinstance(default, str) else f"{default:g}"], flag
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_analysis_flags_not_given_stay_out_of_the_namespace(raw_csv, command):
+    args = facpca.cli.build_parser().parse_args([command, "--input", raw_csv])
+    assert not set(vars(args)) & set(ANALYSIS_FLAGS.values())
 
 
 def test_missing_input_fails_with_stderr(capsys):

@@ -42,13 +42,13 @@ TWO_VAR = np.array([[1.0, 0.6], [0.6, 1.0]])
 
 def test_identity_correlation_gives_unit_loadings():
     eig = eigen_symmetric(np.eye(3), correlation_input=True)
-    loadings = full_loadings(eig)
+    loadings = full_loadings(eig, ("a", "b", "c"))
     assert_allclose(np.abs(loadings.entries), np.eye(3), atol=1e-14)
 
 
 def test_two_variable_analytic_loadings():
     eig = eigen_symmetric(TWO_VAR, correlation_input=True)
-    loadings = full_loadings(eig)
+    loadings = full_loadings(eig, ("a", "b"))
     want = np.array(
         [[math.sqrt(0.8), math.sqrt(0.2)], [math.sqrt(0.8), -math.sqrt(0.2)]]
     )
@@ -80,7 +80,7 @@ def test_row_sums_of_squares_equal_one(weather_loadings):
 def test_full_loadings_reject_negative_eigenvalues():
     eig = EigenDecomposition(np.array([1.0, -0.5]), np.eye(2))
     with pytest.raises(NotPositiveSemidefiniteError):
-        full_loadings(eig)
+        full_loadings(eig, ("a", "b"))
 
 
 def test_basis_product_symmetry_for_random_psd_inputs():
@@ -89,7 +89,7 @@ def test_basis_product_symmetry_for_random_psd_inputs():
         n = int(rng.integers(2, 9))
         r = random_correlation_psd(rng, n)
         eig = eigen_symmetric(r, correlation_input=True)
-        loadings = full_loadings(eig)
+        loadings = full_loadings(eig, tuple("abcdefgh"[:n]))
         product = loadings.entries @ eig.eigenvectors.T
         assert np.max(np.abs(product - product.T)) < 1e-10
 
@@ -155,20 +155,20 @@ def test_communalities_grow_with_k(weather_loadings):
 
 
 def test_cumulative_rows_match_reference(weather_loadings):
-    got = minvar_count(weather_loadings).cumulative
+    got = minvar_count(weather_loadings, 0.51).cumulative
     assert np.max(np.abs(got[0] - REF_CUMULATIVE_COMMUNALITY[0])) < 3e-3
     assert got[1, 0] == pytest.approx(0.9165, abs=3e-3)
 
 
 def test_cumulative_rows_are_monotone_and_end_at_one(weather_loadings):
-    got = minvar_count(weather_loadings).cumulative
+    got = minvar_count(weather_loadings, 0.51).cumulative
     assert np.all(np.diff(got, axis=1) >= -1e-15)
     assert np.max(np.abs(got[:, -1] - 1.0)) < 1e-10
 
 
 def test_cumulative_identity_is_step_functions():
     eig = eigen_symmetric(np.eye(4), correlation_input=True)
-    got = minvar_count(full_loadings(eig)).cumulative
+    got = minvar_count(full_loadings(eig, ("a", "b", "c", "d")), 0.51).cumulative
     assert set(np.round(got.ravel(), 12)) <= {0.0, 1.0}
 
 
@@ -190,7 +190,7 @@ def test_three_factor_unique_weight(weather_loadings):
 
 def test_two_variable_single_factor_weights():
     eig = eigen_symmetric(TWO_VAR, correlation_input=True)
-    model = build_model(truncate(full_loadings(eig), 1))
+    model = build_model(truncate(full_loadings(eig, ("a", "b")), 1))
     assert_allclose(model.unique_weights, [math.sqrt(0.2), math.sqrt(0.2)], atol=1e-12)
 
 
@@ -231,7 +231,7 @@ def test_simulate_rejects_a_negative_seed_before_drawing():
 
 def test_simulate_identity_model_returns_factor_draws():
     eig = eigen_symmetric(np.eye(3), correlation_input=True)
-    model = build_model(full_loadings(eig))
+    model = build_model(full_loadings(eig, ("a", "b", "c")))
     drawn = simulate(model, 100, seed=7)
     # with unit loadings and zero unique weights the output is the common
     # factor block itself, drawn first as a (draws, k) array
@@ -242,7 +242,7 @@ def test_simulate_identity_model_returns_factor_draws():
 
 def test_simulate_two_variable_correlation():
     eig = eigen_symmetric(TWO_VAR, correlation_input=True)
-    model = build_model(full_loadings(eig))
+    model = build_model(full_loadings(eig, ("a", "b")))
     drawn = simulate(model, 100_000, seed=11)
     r = correlation_matrix(drawn).entries[0, 1]
     assert r == pytest.approx(0.6, abs=0.02)

@@ -189,7 +189,7 @@ def test_weather_basis_product_matches_reference(weather_eig):
 
 def test_identity_input_gives_identity_product():
     eig = eigen_symmetric(np.eye(4), correlation_input=True)
-    product = full_loadings(eig).entries @ eig.eigenvectors.T
+    product = full_loadings(eig, ("a", "b", "c", "d")).entries @ eig.eigenvectors.T
     assert_allclose(product, np.eye(4), atol=1e-12)
 
 
@@ -199,5 +199,5 @@ def test_product_symmetry_for_100_random_psd_matrices():
         n = int(rng.integers(2, 10))
         r = random_correlation_psd(rng, n)
         eig = eigen_symmetric(r, correlation_input=True)
-        product = full_loadings(eig).entries @ eig.eigenvectors.T
+        product = full_loadings(eig, tuple("abcdefghi"[:n])).entries @ eig.eigenvectors.T
         assert np.max(np.abs(product - product.T)) < 1e-10

@@ -21,6 +21,7 @@ from facpca.reporting import (
     _format_block,
     _g12_pass,
     _write_csv,
+    criteria_table,
     emit_scree,
     read_correlation_csv,
     read_data_csv,
@@ -344,6 +345,11 @@ def test_analysis_validation():
         Analysis("x.csv", "spreadsheet")
     with pytest.raises(SizeError, match="factor count override must be at least 1"):
         Analysis("x.csv", factors=0)
+    # x.csv does not exist: every setting is checked before the input is read
+    with pytest.raises(ThresholdError, match=r"^percent threshold must lie in \(0, 100\], got 0$"):
+        Analysis("x.csv", percent=0)
+    with pytest.raises(ThresholdError, match=r"^percent threshold must lie in \(0, 100\], got 100.5$"):
+        Analysis("x.csv", "corr", percent=100.5)
     observations = DataMatrix(np.eye(3), ("a", "b", "c"))
     with pytest.raises(DataError, match="a DataMatrix holds observations, not a correlation matrix"):
         Analysis(observations, "corr")
@@ -351,10 +357,8 @@ def test_analysis_validation():
 
 def test_run_report_validation(tmp_path):
     analysis = Analysis(dataset1_corr_path(), "corr")
-    with pytest.raises(ThresholdError, match=r"percent threshold must lie in \(0, 100\], got 0.0"):
-        run_report(analysis, tmp_path / "out", "csv", 0.0)
     with pytest.raises(DataError, match="unknown output format 'xlsx'"):
-        run_report(analysis, tmp_path / "out", "xlsx", 80.0)
+        run_report(analysis, tmp_path / "out", "xlsx")
     assert not (tmp_path / "out").exists()
 
 
@@ -383,7 +387,7 @@ EXPECTED_TABLES = {
 
 def _fixture_report(output_dir, output_format="csv", **settings):
     analysis = Analysis(dataset1_corr_path(), "corr", **settings)
-    return run_report(analysis, output_dir, output_format, 80.0)
+    return run_report(analysis, output_dir, output_format)
 
 
 def test_report_bundle_contents(tmp_path):
@@ -403,9 +407,14 @@ def test_report_bundle_contents(tmp_path):
     assert criteria["min_variance(epsilon=0.51)"] == "3"
 
 
+def test_criteria_table_reads_the_analysis_percent():
+    table = criteria_table(Analysis(dataset1_corr_path(), "corr", percent=60))
+    assert table.rows[2] == ["explained_variance(60%)", "3"]
+
+
 def test_report_summary_table_only_for_raw(tmp_path):
     raw = _write(tmp_path / "raw.csv", RAW_SAMPLE)
-    bundle = run_report(Analysis(raw, rotate="none"), tmp_path / "out", "csv", 80.0)
+    bundle = run_report(Analysis(raw, rotate="none"), tmp_path / "out", "csv")
     assert "summary_statistics" in bundle
     stats = bundle["summary_statistics"]
     assert stats.header == ["statistic", "a", "b", "c"]
@@ -470,14 +479,14 @@ def _labels(n: int):
 def _assert_bundles_match_cell_writers(analysis) -> None:
     """Each csv file equals ``csv.writer`` over its table's cells, report.json ``json.dump``."""
     with tempfile.TemporaryDirectory() as tmp:
-        bundle = run_report(analysis, Path(tmp) / "csv", "csv", 80.0)
+        bundle = run_report(analysis, Path(tmp) / "csv", "csv")
         for name, table in bundle.items():
             assert all(len(row) == len(table.header) for row in table.rows)
             text = io.StringIO()
             csv.writer(text, lineterminator="\n").writerows([table.header, *table.rows])
             written = (Path(tmp) / "csv" / f"{name}.csv").read_bytes()
             assert written == text.getvalue().encode("utf-8"), name
-        bundle = run_report(analysis, Path(tmp) / "json", "json", 80.0)
+        bundle = run_report(analysis, Path(tmp) / "json", "json")
         text = io.StringIO()
         json.dump({name: {"header": t.header, "rows": t.rows} for name, t in bundle.items()},
                   text, indent=2)

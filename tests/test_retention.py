@@ -107,6 +107,8 @@ def test_half_count_values():
     assert half_count(2) == 1
     assert half_count(9) == 4
     assert half_count(1) == 1  # a count of 0 factors is no answer
+    with pytest.raises(SizeError, match=r"^need at least one variable, got 0$"):
+        half_count(0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +125,12 @@ def test_weather_retention_report(weather_loadings):
 
 def test_identity_needs_every_factor():
     eig = eigen_symmetric(np.eye(4), correlation_input=True)
-    assert minvar_count(full_loadings(eig), 0.51).chosen == 4
+    assert minvar_count(full_loadings(eig, ("a", "b", "c", "d")), 0.51).chosen == 4
 
 
 def test_two_variable_case_needs_one_factor():
     eig = eigen_symmetric(np.array([[1.0, 0.6], [0.6, 1.0]]), correlation_input=True)
-    report = minvar_count(full_loadings(eig), 0.51)
+    report = minvar_count(full_loadings(eig, ("a", "b")), 0.51)
     assert report.chosen == 1
     assert report.min_var[0] == pytest.approx(0.8, abs=1e-12)
     assert report.aver_var[0] == pytest.approx(0.8, abs=1e-12)
@@ -196,7 +198,9 @@ def test_raising_epsilon_never_lowers_the_count(weather_loadings):
 def test_report_is_invariant_to_eigenvector_sign_flips(weather_eig, weather_loadings):
     flipped = np.array(weather_eig.eigenvectors)
     flipped[:, ::2] *= -1.0
-    mirrored = full_loadings(EigenDecomposition(weather_eig.eigenvalues, flipped))
+    mirrored = full_loadings(
+        EigenDecomposition(weather_eig.eigenvalues, flipped), weather_loadings.variable_labels
+    )
     original = minvar_count(weather_loadings, 0.51)
     altered = minvar_count(mirrored, 0.51)
     assert altered.chosen == original.chosen

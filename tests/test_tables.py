@@ -140,7 +140,7 @@ def test_loading_tables_match_oracle(matrix, with_communality):
 @settings(max_examples=40, deadline=None)
 @given(matrix=loadings(full=True))
 def test_cumulative_table_matches_oracle(matrix):
-    report = minvar_count(matrix)
+    report = minvar_count(matrix, 0.51)
     _same(
         reporting.cumulative_table(matrix.variable_labels, report.cumulative),
         oracle.cumulative_table(matrix),
@@ -178,7 +178,7 @@ def _stage_tables(module, corr: CorrelationMatrix, k: int) -> list:
     full = full_loadings(eig, corr.labels)
     truncated = truncate(full, k)
     rotated = varimax(truncated).rotated
-    retention = minvar_count(full)
+    retention = minvar_count(full, 0.51)
     if module is reporting:
         cumulative = reporting.cumulative_table(corr.labels, retention.cumulative)
         spectrum = variance_table(eig.eigenvalues)

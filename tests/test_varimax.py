@@ -91,6 +91,32 @@ def test_angle_of_simple_structure_is_zero():
 
 def test_angle_undefined_for_featureless_plane():
     assert _plane_angle(np.zeros(2), np.zeros(2), 2) is None
+    assert _plane_angle(np.zeros(5), np.zeros(5), 5) is None
+    result = varimax(LoadingMatrix(np.zeros((5, 2)), tuple("abcde")))
+    assert result.converged
+    assert np.array_equal(result.rotation, np.eye(2))
+
+
+def test_plane_of_tiny_loadings_is_rotated():
+    # angle terms of about 1e-24: the skip is relative to the plane's own scale
+    entries = [[1e-6, 1e-6], [1e-6, 0.0], [0.0, 1e-6]]
+    result = varimax(LoadingMatrix(entries, ("a", "b", "c")), normalize=False)
+    assert result.converged
+    assert result.objective_trace[0] == pytest.approx(4e-24, rel=1e-9, abs=0.0)
+    assert result.objective_trace[-1] == pytest.approx(5e-24, rel=1e-9, abs=0.0)
+
+
+def test_rotation_invariant_plane_is_left_unrotated():
+    # rows at multiples of pi/8: the criterion is the same at every angle, so
+    # the angle terms are rounding noise and any angle they gave would be arbitrary
+    t = np.arange(8) * np.pi / 8
+    entries = 0.9 * np.column_stack((np.cos(t), np.sin(t)))
+    assert _plane_angle(entries[:, 0], entries[:, 1], 8) is None
+    for normalize in (True, False):
+        result = varimax(LoadingMatrix(entries, tuple("abcdefgh")), normalize=normalize)
+        assert result.converged
+        assert np.array_equal(result.rotation, np.eye(2))
+        assert np.array_equal(result.rotated.entries, entries)
 
 
 def _angle_terms(x, y):
@@ -473,8 +499,8 @@ def _assert_certified(loadings, normalize, result):
 
     With ``normalize``, the rows are scaled back to unit length first (a row
     of length 0 stays as it is), since Kaiser's criterion is maximized there.
-    A plane whose angle terms both lie below ``ANGLE_EPS`` in absolute value
-    counts as featureless and is never rotated, so it is not checked.
+    A plane whose angle terms both lie within ``ANGLE_EPS * n * sum(u**2 + v**2)``
+    of zero counts as featureless and is never rotated, so it is not checked.
     """
     working = result.rotated.entries
     if normalize:

@@ -42,7 +42,8 @@ def plane_angle(x, y) -> float | None:
     denominator = n * float(np.sum(u**2 - v**2)) - (
         float(np.sum(u)) ** 2 - float(np.sum(v)) ** 2
     )
-    if abs(numerator) < ANGLE_EPS and abs(denominator) < ANGLE_EPS:
+    limit = ANGLE_EPS * n * float(np.sum(u**2 + v**2))
+    if abs(numerator) <= limit and abs(denominator) <= limit:
         return None
     return math.atan2(numerator, denominator) / 4.0
 
