@@ -4,9 +4,9 @@ The library covers the shared PCA/FA pipeline (standardization, Pearson
 correlation, LAPACK eigendecomposition with a defined order for tied
 eigenvalues, factor loadings, Varimax rotation) and a retention rule that
 keeps adding factors until every variable has most of its variance
-explained.  ``Analysis`` runs that pipeline on one input, each stage at
-most once; its ``scores`` are the modified PCA's component scores, the
-standardized data that ``project`` puts onto the leading eigenvectors.
+explained.  ``Analysis`` (``facpca.pipeline``) runs that pipeline on one
+input, each stage at most once; its ``scores`` are the modified PCA's
+component scores, the standardized data on the leading eigenvectors.
 """
 
 from .eigen import EigenDecomposition, eigen_symmetric
@@ -32,8 +32,7 @@ from .factors import (
     simulate,
     truncate,
 )
-from .pipeline import project
-from .reporting import Analysis
+from .pipeline import Analysis
 from .retention import (
     RetentionReport,
     VarianceTable,
@@ -92,8 +91,6 @@ __all__ = [
     "minvar_count",
     "scree_data",
     # pipeline
-    "project",
-    # reporting
     "Analysis",
     # errors
     "FacpcaError",

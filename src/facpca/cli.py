@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .errors import DataError, FacpcaError
 from .factors import build_model, check_simulation, simulate
+from .pipeline import Analysis
 from .reporting import (
-    Analysis,
     ReportTable,
     common_variance_table,
     correlation_tables,

@@ -1,11 +1,11 @@
-"""CSV ingestion, the analysis core, report generation and scree emission.
+"""CSV ingestion, table building, report generation and scree emission.
 
-The report and every CLI subcommand render from one ``Analysis``, which
-runs each pipeline stage at most once on a CSV file or an in-memory
-``DataMatrix``.  The report mirrors the reference table set: summary
-statistics, correlation and determination matrices, eigenvalues,
-explained variance, loadings, cumulative communality shares, the
-retention ledger, criteria comparison and truncated/rotated loadings.
+The report and every CLI subcommand render from one ``pipeline.Analysis``,
+which reads its input with ``read_data_csv`` or ``read_correlation_csv``
+and runs each stage at most once.  The report mirrors the reference table
+set: summary statistics, correlation and determination matrices,
+eigenvalues, explained variance, loadings, cumulative communality shares,
+the retention ledger, criteria comparison and truncated/rotated loadings.
 Machine payloads carry 12 significant digits (so a written correlation
 matrix re-ingests to within 1e-9); percentages carry 2 decimals.  Every
 number of a table is formatted with its block of rows in
@@ -32,36 +32,26 @@ from collections import Counter
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .eigen import EigenDecomposition, eigen_symmetric
-from .errors import DataError, ParseError, ShapeError, SizeError, ThresholdError
-from .factors import LoadingMatrix, communalities, full_loadings, truncate
-from .pipeline import project
+from .errors import DataError, ParseError, ShapeError, SizeError
+from .factors import LoadingMatrix, communalities
 from .retention import (
     RetentionReport,
     VarianceTable,
-    check_epsilon,
     half_count,
     kaiser_count,
-    minvar_count,
     percentage_count,
     scree_data,
-    variance_table,
 )
-from .stats import (
-    CorrelationMatrix,
-    DataMatrix,
-    correlation_matrix,
-    determination_matrix,
-    standardize,
-    summarize,
-)
-from .varimax import RotationResult, varimax
+from .stats import CorrelationMatrix, DataMatrix, determination_matrix, summarize
+
+if TYPE_CHECKING:
+    from .pipeline import Analysis
 
 __all__ = [
-    "Analysis",
     "ReportTable",
     "read_data_csv",
     "read_correlation_csv",
@@ -537,102 +527,6 @@ def read_correlation_csv(path) -> CorrelationMatrix:
         raise DataError(f"{path}: entry magnitude exceeds 1 by {overshoot:.3e}")
     np.clip(entries, -1.0, 1.0, out=entries)
     return CorrelationMatrix(entries, labels)
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """The pipeline over one input; each stage runs at most once, on first use.
-
-    ``source`` is a CSV path or an in-memory ``DataMatrix`` of observations.
-    ``kind`` is ``"raw"`` (observations) or ``"corr"`` (a correlation matrix
-    CSV).  The other fields are the settings: each default and check lives
-    here, and all are checked on construction, before any input is read.
-    ``factors`` fixes the count ``truncated`` keeps, in place of the
-    min-variance rule's count at ``epsilon``; ``rotation`` is None when not
-    rotating; ``percent`` is the explained-variance criterion's threshold.
-    """
-
-    source: str | Path | DataMatrix
-    kind: str = "raw"
-    epsilon: float = 0.51
-    factors: int | None = None
-    rotate: str = "varimax"
-    kaiser_normalize: bool = True
-    percent: float = 80.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("raw", "corr"):
-            raise DataError(f"unknown input kind {self.kind!r}")
-        if self.kind == "corr" and isinstance(self.source, DataMatrix):
-            raise DataError("a DataMatrix holds observations, not a correlation matrix")
-        check_epsilon(self.epsilon)
-        if self.factors is not None and self.factors < 1:
-            raise SizeError("factor count override must be at least 1")
-        if self.rotate not in ("varimax", "none"):
-            raise DataError(f"unknown rotation {self.rotate!r}")
-        if self.rotate == "none" and not self.kaiser_normalize:
-            raise DataError("kaiser_normalize=False has no effect with rotate='none'")
-        if not 0.0 < self.percent <= 100.0:
-            raise ThresholdError(f"percent threshold must lie in (0, 100], got {self.percent}")
-
-    @cached_property
-    def _observations(self) -> tuple[DataMatrix, int]:
-        if self.kind != "raw":
-            raise DataError(f"{self.source}: a correlation matrix holds no observations")
-        if isinstance(self.source, DataMatrix):
-            return self.source, 0
-        return read_data_csv(self.source)
-
-    @property
-    def data(self) -> DataMatrix:
-        return self._observations[0]
-
-    @property
-    def dropped_rows(self) -> int:
-        """Rows of a raw input dropped for missing values; 0 for a correlation input."""
-        return self._observations[1] if self.kind == "raw" else 0
-
-    @cached_property
-    def corr(self) -> CorrelationMatrix:
-        if self.kind == "corr":
-            return read_correlation_csv(self.source)
-        return correlation_matrix(self.data)
-
-    @cached_property
-    def eig(self) -> EigenDecomposition:
-        return eigen_symmetric(self.corr.entries, correlation_input=True)
-
-    @cached_property
-    def loadings(self) -> LoadingMatrix:
-        return full_loadings(self.eig, self.corr.labels)
-
-    @cached_property
-    def variance(self) -> VarianceTable:
-        return variance_table(self.eig.eigenvalues)
-
-    @cached_property
-    def retention(self) -> RetentionReport:
-        return minvar_count(self.loadings, self.epsilon)
-
-    @cached_property
-    def truncated(self) -> LoadingMatrix:
-        k = self.factors or self.retention.chosen
-        if k > self.corr.size:
-            raise SizeError(f"factor count override {k} exceeds the {self.corr.size} variables")
-        return truncate(self.loadings, k)
-
-    @cached_property
-    def rotation(self) -> RotationResult | None:
-        if self.rotate == "none" or self.truncated.k < 2:
-            return None
-        return varimax(self.truncated, normalize=self.kaiser_normalize)
-
-    @cached_property
-    def scores(self) -> np.ndarray:
-        """The standardized data projected onto the ``truncated.k`` leading eigenvectors."""
-        scores = project(standardize(self.data), self.eig.eigenvectors, self.truncated.k)
-        scores.flags.writeable = False
-        return scores
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from facpca import (
+    Analysis,
     build_model,
     communalities,
     eigen_symmetric,
     full_loadings,
     minvar_count,
-    project,
     simulate,
     standardize,
     truncate,
@@ -189,10 +189,8 @@ def test_criterion_09_property_suite(fixture_loadings):
     # component scores on seeded synthetic data
     model = build_model(fixture_loadings)
     data = standardize(simulate(model, 5000, seed=91))
-    from facpca import correlation_matrix
-
-    eig = eigen_symmetric(correlation_matrix(data).entries, correlation_input=True)
-    scores = project(data, eig.eigenvectors, eig.size)
+    analysis = Analysis(data, factors=data.n_variables)
+    eig, scores = analysis.eig, analysis.scores
     centered = scores - scores.mean(axis=0)
     variances = np.mean(centered**2, axis=0)
     assert np.max(np.abs(variances - eig.eigenvalues)) < 1e-8

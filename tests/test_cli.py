@@ -8,12 +8,14 @@ from collections import Counter
 import pytest
 
 import facpca.cli
+import facpca.pipeline
 import facpca.reporting
 import facpca.retention
 import facpca.stats
 from facpca.cli import main
 from facpca.datasets import dataset1_corr_path
-from facpca.reporting import Analysis, read_data_csv
+from facpca.pipeline import Analysis
+from facpca.reporting import read_data_csv
 
 import numeric_csv_oracle
 from conftest import dense_factor_correlation
@@ -211,7 +213,6 @@ def test_unconverged_varimax_is_reported(tmp_path, capsys, monkeypatch, command)
 STAGES = (
     "read_data_csv",
     "read_correlation_csv",
-    "summarize",
     "correlation_matrix",
     "eigen_symmetric",
     "full_loadings",
@@ -219,19 +220,20 @@ STAGES = (
     "minvar_count",
     "varimax",
     "standardize",
-    "project",
 )
 
 
 @pytest.fixture()
 def stage_calls(monkeypatch):
-    """The names of the pipeline stages called through ``facpca.reporting``, in order.
+    """The names of the pipeline stages called where ``Analysis`` calls them, in order.
 
-    ``variance_table`` is also counted where ``facpca.retention`` calls it.
+    ``summarize`` is counted where ``facpca.reporting`` calls it, and
+    ``variance_table`` also where ``facpca.retention`` calls it.
     """
     calls = []
-    stages = [(facpca.reporting, name) for name in STAGES]
-    for module, name in [*stages, (facpca.retention, "variance_table")]:
+    stages = [(facpca.pipeline, name) for name in STAGES]
+    extra = [(facpca.reporting, "summarize"), (facpca.retention, "variance_table")]
+    for module, name in [*stages, *extra]:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -282,7 +284,7 @@ def test_pca_runs_each_stage_once(tmp_path, capsys, monkeypatch, raw_csv, stage_
     monkeypatch.setattr(facpca.stats, "_unit_columns", counted)
     assert main(["pca", "--input", raw_csv, "--out", str(tmp_path / "out")]) == 0
     once = ("read_data_csv", "correlation_matrix", "eigen_symmetric", "full_loadings",
-            "variance_table", "minvar_count", "standardize", "project",
+            "variance_table", "minvar_count", "standardize",
             "_unit_columns")  # one centering for both users
     assert Counter(stage_calls) == dict.fromkeys(once, 1)
 

@@ -6,11 +6,9 @@ from facpca import (
     Analysis,
     DataMatrix,
     DegenerateColumnError,
-    ShapeError,
     build_model,
     eigen_symmetric,
     full_loadings,
-    project,
     simulate,
     standardize,
 )
@@ -31,59 +29,33 @@ def weather_run(weather_synthetic):
     return Analysis(weather_synthetic, epsilon=0.51)
 
 
+@pytest.fixture(scope="module")
+def weather_full(weather_synthetic):
+    """The analysis of the synthetic weather data, keeping every component."""
+    return Analysis(weather_synthetic, factors=weather_synthetic.n_variables)
+
+
 def _biased_variances(matrix):
     centered = matrix - matrix.mean(axis=0)
     return np.mean(centered**2, axis=0)
 
 
 # ---------------------------------------------------------------------------
-# project
-
-
-def test_identity_projection_returns_input():
-    rng = np.random.default_rng(40)
-    data = standardize(
-        DataMatrix(rng.standard_normal((50, 3)), ("a", "b", "c"))
-    )
-    scores = project(data, np.eye(3), 3)
-    assert_allclose(scores, data.values)
+# Analysis.scores
 
 
 def test_two_variable_score_variances():
     eig = eigen_symmetric(np.array([[1.0, 0.6], [0.6, 1.0]]), correlation_input=True)
     model = build_model(full_loadings(eig, ("a", "b")))
-    data = standardize(simulate(model, 10_000, seed=41))
-    sample_eig = eigen_symmetric(
-        np.corrcoef(data.values, rowvar=False), correlation_input=True
-    )
-    scores = project(data, sample_eig.eigenvectors, 2)
+    scores = Analysis(simulate(model, 10_000, seed=41), factors=2).scores
     variances = _biased_variances(scores)
     assert variances[0] == pytest.approx(1.6, abs=0.05)
     assert variances[1] == pytest.approx(0.4, abs=0.05)
 
 
-def test_score_variances_equal_eigenvalues(weather_synthetic):
-    data = standardize(weather_synthetic)
-    from facpca import correlation_matrix
-
-    eig = eigen_symmetric(correlation_matrix(data).entries, correlation_input=True)
-    scores = project(data, eig.eigenvectors, eig.size)
-    assert np.max(np.abs(_biased_variances(scores) - eig.eigenvalues)) < 1e-8
-
-
-def test_project_shape_checks():
-    rng = np.random.default_rng(42)
-    data = standardize(DataMatrix(rng.standard_normal((20, 3)), ("a", "b", "c")))
-    with pytest.raises(ShapeError):
-        project(data, np.eye(4), 2)
-    with pytest.raises(ShapeError):
-        project(data, np.eye(3), 0)
-    with pytest.raises(ShapeError):
-        project(data, np.eye(3), 4)
-
-
-# ---------------------------------------------------------------------------
-# Analysis.scores
+def test_score_variances_equal_eigenvalues(weather_full):
+    eig = weather_full.eig
+    assert np.max(np.abs(_biased_variances(weather_full.scores) - eig.eigenvalues)) < 1e-8
 
 
 def test_weather_synthetic_retains_three_components(weather_synthetic, weather_run):
@@ -140,23 +112,14 @@ def test_result_invariants(weather_run):
     assert np.max(np.abs(corr)) < 1e-8
 
 
-def test_score_variances_sum_to_variable_count(weather_synthetic):
-    data = standardize(weather_synthetic)
-    from facpca import correlation_matrix
-
-    eig = eigen_symmetric(correlation_matrix(data).entries, correlation_input=True)
-    scores = project(data, eig.eigenvectors, eig.size)
+def test_score_variances_sum_to_variable_count(weather_full):
+    scores = weather_full.scores
     assert float(np.sum(_biased_variances(scores))) == pytest.approx(7.0, abs=1e-8)
 
 
-def test_full_projection_is_invertible(weather_synthetic):
-    data = standardize(weather_synthetic)
-    from facpca import correlation_matrix
-
-    eig = eigen_symmetric(correlation_matrix(data).entries, correlation_input=True)
-    scores = project(data, eig.eigenvectors, eig.size)
-    recovered = scores @ eig.eigenvectors.T
-    assert np.max(np.abs(recovered - data.values)) < 1e-10
+def test_full_projection_is_invertible(weather_full):
+    recovered = weather_full.scores @ weather_full.eig.eigenvectors.T
+    assert np.max(np.abs(recovered - standardize(weather_full.data).values)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +127,8 @@ def test_full_projection_is_invertible(weather_synthetic):
 # scores are the squared loadings, and L @ U.T is symmetric
 
 
-def test_determination_equals_squared_loadings(weather_synthetic):
-    data = standardize(weather_synthetic)
-    from facpca import correlation_matrix
-
-    eig = eigen_symmetric(correlation_matrix(data).entries, correlation_input=True)
-    scores = project(data, eig.eigenvectors, eig.size)
+def test_determination_equals_squared_loadings(weather_full):
+    data, eig, scores = weather_full.data, weather_full.eig, weather_full.scores
     n = data.n_variables
     determination = np.corrcoef(data.values, scores, rowvar=False)[:n, n:] ** 2
     loadings = full_loadings(eig, WEATHER_LABELS)

@@ -16,6 +16,7 @@ REMOVED = {
     "correlation": "facpca.stats",
     "optimal_plane_angle": "facpca.varimax",
     "pc_variable_determination": "facpca.pipeline",
+    "project": "facpca.pipeline",
     "verify_artifact": "facpca.pipeline",
 }
 

@@ -14,9 +14,9 @@ from numpy.testing import assert_allclose
 
 from facpca import DataError, ParseError, ShapeError, SizeError, ThresholdError
 from facpca.datasets import dataset1_corr_path
+from facpca.pipeline import Analysis
 from facpca.reporting import (
     G12_PASS_CELLS,
-    Analysis,
     _decimal_exponent,
     _format_block,
     _g12_pass,
@@ -345,7 +345,19 @@ def test_analysis_validation():
         Analysis("x.csv", "spreadsheet")
     with pytest.raises(SizeError, match="factor count override must be at least 1"):
         Analysis("x.csv", factors=0)
-    # x.csv does not exist: every setting is checked before the input is read
+    # x.csv does not exist: every setting is checked before the input is read,
+    # its type first; a bool is a flag, not a number
+    mistyped = [("factors", v, SizeError, "factor count override must be an integer")
+                for v in (2.5, True, "3", 2.0)]
+    mistyped += [("epsilon", v, ThresholdError, "epsilon must be a real number")
+                 for v in ("0.6", None, True)]
+    mistyped += [("percent", v, ThresholdError, "percent threshold must be a real number")
+                 for v in (None, "80", False)]
+    for name, value, error, message in mistyped:
+        with pytest.raises(error, match=f"^{re.escape(f'{message}, got {value!r}')}$"):
+            Analysis("x.csv", **{name: value})
+    assert Analysis(dataset1_corr_path(), "corr", factors=np.int64(2)).truncated.k == 2
+    assert Analysis("x.csv", epsilon=np.float64(0.6), percent=np.int64(80)).percent == 80
     with pytest.raises(ThresholdError, match=r"^percent threshold must lie in \(0, 100\], got 0$"):
         Analysis("x.csv", percent=0)
     with pytest.raises(ThresholdError, match=r"^percent threshold must lie in \(0, 100\], got 100.5$"):
