@@ -5,9 +5,10 @@ communalities nor the model fit, but it can concentrate each variable's
 loadings on few factors, which makes the factors interpretable.  Varimax
 maximizes the variance of the squared loadings.  It first sweeps the factor
 planes, picking in each the angle that maximizes that variance; a rotation
-that those sweeps do not settle within 8 continues with Kaiser's SVD
-iterations and ends with pairwise sweeps that certify that no plane can
-improve it.  The weather rotation settles within the first sweeps.  With
+that those sweeps do not settle within 8 continues with Newton steps until
+the criterion's gradient vanishes to rounding, and ends with pairwise
+sweeps that certify that no plane can improve it.  The weather rotation
+settles within the first sweeps.  With
 four factors the weather variables separate cleanly: each variable ends up
 dominated by a single factor.
 """

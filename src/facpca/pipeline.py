@@ -53,6 +53,8 @@ class Analysis:
     percent: float = 80.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.source, (str, Path, DataMatrix)):
+            raise DataError(f"source must be a CSV path or a DataMatrix, got {self.source!r}")
         if self.kind not in ("raw", "corr"):
             raise DataError(f"unknown input kind {self.kind!r}")
         if self.kind == "corr" and isinstance(self.source, DataMatrix):
@@ -67,6 +69,8 @@ class Analysis:
                 raise SizeError("factor count override must be at least 1")
         if self.rotate not in ("varimax", "none"):
             raise DataError(f"unknown rotation {self.rotate!r}")
+        if not isinstance(self.kaiser_normalize, (bool, np.bool_)):
+            raise DataError(f"kaiser_normalize must be a bool, got {self.kaiser_normalize!r}")
         if self.rotate == "none" and not self.kaiser_normalize:
             raise DataError("kaiser_normalize=False has no effect with rotate='none'")
         if not _is_number(self.percent, numbers.Real):

@@ -12,11 +12,13 @@ three phases on the (optionally Kaiser-normalized) rows:
 
 1. Warm-up: up to ``WARM_SWEEPS`` pairwise sweeps.  Small problems converge
    here.
-2. SVD iterations (Kaiser 1958, the form of R's ``stats::varimax``): the
-   rotation becomes ``U V'`` from the SVD of the objective's gradient
-   mapped back onto the warm-up's loadings.  The phase ends before the
-   first iteration whose relative gain is below ``SVD_TOL``, or after
-   ``SVD_MAX`` iterations.
+2. Newton steps in the skew coordinates A of ``Z @ cayley(A)``, from where the
+   warm-up stopped: truncated conjugate gradients on the exact Hessian give
+   the step, which is halved until the objective does not fall.  The phase
+   stops at a relative gradient ``|M - M'| / |M|`` of at most
+   ``NEWTON_TOL``, the stopping rule of Jennrich's gradient projection
+   algorithm (Psychometrika 66, 2001), at a step that gains nothing, or
+   after ``NEWTON_MAX`` steps.
 3. Certificate: pairwise sweeps on what is left of ``MAX_SWEEPS``, until
    one sweep improves the objective by less than ``TOL`` relative: no
    plane rotation gains.
@@ -46,9 +48,10 @@ __all__ = [
 ANGLE_EPS = 1e-14  # angle terms both within this * n * sum(u**2 + v**2) -> plane left alone
 MAX_SWEEPS = 50  # pairwise sweeps at most, warm-up and certificate together
 TOL = 1e-9  # relative objective gain of a pairwise sweep below which it has converged
-WARM_SWEEPS = 8  # pairwise sweeps before the SVD iterations take over
-SVD_TOL = 1e-11  # relative objective gain below which an SVD iteration is dropped
-SVD_MAX = 5000  # SVD iterations at most, before the certificate sweeps
+WARM_SWEEPS = 8  # pairwise sweeps before the Newton steps take over
+NEWTON_MAX = 100  # Newton steps at most, before the certificate sweeps
+NEWTON_TOL = 1e-12  # relative gradient |M - M'| / |M| at which the Newton steps stop
+HALVINGS = 60  # halvings of a Newton step at most before the phase gives up
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,9 @@ class RotationResult:
     ``sweeps_used`` counts pairwise sweeps (warm-up and certificate), and
     ``converged`` is false when their budget ran out before one sweep left
     the objective settled.  ``objective_trace`` holds the starting
-    objective, then one entry per warm-up sweep, per kept SVD iteration and
+    objective, then one entry per warm-up sweep, per kept Newton step and
     per certificate sweep, in that order; it has
-    ``1 + sweeps_used + svd_iterations`` entries and never decreases.
+    ``1 + sweeps_used + newton_steps`` entries and never decreases.
     """
 
     rotated: LoadingMatrix
@@ -152,11 +155,18 @@ def _pairwise_sweeps(
     objective of ``columns`` on entry; each sweep appends its objective.
     Returns the sweeps run and whether the last one improved the objective
     by less than ``TOL`` relative to its start.
+
+    Each plane keeps a rotation that does not lower its two columns'
+    objectives, so at a stationary point a sweep can take tied rotations
+    whose sum ends an ulp below its start.  Such a sweep is undone: its
+    starting columns and turns are restored, its starting objective is
+    appended, and it counts as converged.
     """
     k, n = columns.shape
     objectives = [_column_objective(columns[j], n) for j in range(k)]
     objective = trace[-1]
     for sweep in range(1, budget + 1):
+        start = columns.copy(), turns.copy()
         for p in range(k - 1):
             x = columns[p]
             for q in range(p + 1, k):
@@ -181,6 +191,10 @@ def _pairwise_sweeps(
                 turns[p] = rot_p
                 turns[q] = rot_q
         new_objective = sum(objectives)
+        if new_objective < objective:
+            columns[:], turns[:] = start
+            trace.append(objective)
+            return sweep, True
         trace.append(new_objective)
         improvement = new_objective - objective
         scale = abs(objective) if objective != 0.0 else 1.0
@@ -190,48 +204,117 @@ def _pairwise_sweeps(
     return budget, False
 
 
-def _svd_iterations(columns: np.ndarray, turns: np.ndarray, trace: list[float]) -> None:
-    """Kaiser's SVD iterations on ``columns`` and ``turns``, in place.
+def _skew(a: np.ndarray) -> np.ndarray:
+    return (a - a.T) / 2.0
 
-    With ``X = columns.T`` on entry, each iteration takes ``T = U V'`` from
-    the SVD of ``X'(Z**3 - Z diag(mean(Z**2)))`` at ``Z = X T``; the second
-    factor is the objective's gradient at ``Z`` up to a constant.  An
-    iteration is kept when it raises the objective by at least ``SVD_TOL``
-    relative; the first that does not is dropped and ends the phase, as
-    does ``SVD_MAX``.  Appends each kept objective to ``trace``.
+
+def _newton_direction(
+    columns: np.ndarray,
+    squares: np.ndarray,
+    sums: np.ndarray,
+    mixed: np.ndarray,
+    gradient: np.ndarray,
+    tolerance: float,
+) -> np.ndarray:
+    """Truncated conjugate gradients on ``-H(A) = gradient`` over skew k x k matrices A.
+
+    ``H`` is the objective's Hessian at ``Z = columns.T`` along
+    ``Z @ cayley(A)``: ``H(A) = skew(Z' @ R + (A' @ M + M @ A') / 2)``, with
+    ``M = mixed``, ``W = Z @ A`` and
+    ``R = 12 n * S * W - 8 * Z * colsum(Z * W) - 4 * W * s2``, where
+    ``S = Z * Z`` is ``squares.T`` and ``s2`` its column sums, ``sums``.
+    Stops at a residual of ``tolerance`` relative to the gradient, after
+    k(k-1)/2 iterations, or on a direction along which ``H`` is not
+    negative; there it returns the gradient when that direction is the
+    first, else the iterate so far.
     """
     k, n = columns.shape
-    base = columns.copy()
-    rotation, current = np.eye(k), base
-    squares = current * current
+
+    def descent_curvature(a: np.ndarray) -> np.ndarray:
+        turned = a.T @ columns  # W'
+        r = (
+            12.0 * n * squares * turned
+            - 8.0 * (columns * turned).sum(axis=1)[:, None] * columns
+            - 4.0 * sums[:, None] * turned
+        )
+        return -_skew(columns @ r.T - (a @ mixed + mixed @ a) / 2.0)
+
+    step = np.zeros_like(gradient)
+    residual = gradient.copy()
+    direction = gradient.copy()
+    residual_norm2 = float((residual * residual).sum())
+    stop2 = tolerance**2 * residual_norm2
+    for _ in range(k * (k - 1) // 2):
+        image = descent_curvature(direction)
+        curvature = float((direction * image).sum())
+        if curvature <= 0.0:
+            return step if step.any() else gradient
+        alpha = residual_norm2 / curvature
+        step += alpha * direction
+        residual -= alpha * image
+        previous, residual_norm2 = residual_norm2, float((residual * residual).sum())
+        if residual_norm2 <= stop2:
+            break
+        direction = residual + (residual_norm2 / previous) * direction
+    return step
+
+
+def _newton_steps(columns: np.ndarray, turns: np.ndarray, trace: list[float]) -> None:
+    """Newton steps on ``columns`` and ``turns``, in place.
+
+    Each step turns the factors by ``cayley(t * A)``, with ``A`` from
+    ``_newton_direction`` and ``t`` halved from 1 until the objective does
+    not fall, and appends the objective to ``trace``.  The phase ends at a
+    relative gradient ``|M - M'| / |M|`` of at most ``NEWTON_TOL``, after a
+    step that gains nothing, when ``HALVINGS`` halvings keep no step, or
+    after ``NEWTON_MAX`` steps.
+    """
+    k, n = columns.shape
+    identity = np.eye(k)
+    squares = columns * columns
     sums = squares.sum(axis=1)
     objective = trace[-1]
-    for _ in range(SVD_MAX):
-        gradient = current * (squares - (sums / n)[:, None])
-        u, _, vt = np.linalg.svd(base @ gradient.T)
-        step = u @ vt
-        candidate = step.T @ base
-        candidate_squares = candidate * candidate
-        candidate_sums = candidate_squares.sum(axis=1)
-        gained = _objective(candidate_squares, candidate_sums, n)
-        scale = abs(objective) if objective != 0.0 else 1.0
-        if gained - objective < SVD_TOL * scale:
-            break
-        rotation, current, objective = step, candidate, gained
+    for _ in range(NEWTON_MAX):
+        # M = Z' @ (4 * (n * Z * S - Z * s2)): the gradient in A of the
+        # objective at Z @ cayley(A) is skew(M), zero at a stationary point
+        mixed = columns @ (4.0 * columns * (n * squares - sums[:, None])).T
+        gradient = _skew(mixed)
+        size = float(np.linalg.norm(mixed))
+        relative = 2.0 * float(np.linalg.norm(gradient)) / size if size > 0.0 else 0.0
+        if relative <= NEWTON_TOL:
+            return
+        step = _newton_direction(
+            columns, squares, sums, mixed, gradient, min(0.5, math.sqrt(relative))
+        )
+        t = 1.0
+        for _ in range(HALVINGS):
+            half = (t / 2.0) * step
+            turn = np.linalg.solve(identity - half, identity + half)
+            candidate = turn.T @ columns
+            candidate_squares = candidate * candidate
+            candidate_sums = candidate_squares.sum(axis=1)
+            gained = _objective(candidate_squares, candidate_sums, n)
+            if gained >= objective:
+                break
+            t /= 2.0
+        else:
+            return
+        columns[:] = candidate
+        turns[:] = turn.T @ turns
         squares, sums = candidate_squares, candidate_sums
-        trace.append(objective)
-    if current is not base:
-        columns[:] = current
-        turns[:] = rotation.T @ turns
+        trace.append(gained)
+        if gained == objective:
+            return
+        objective = gained
 
 
 def varimax(loadings: LoadingMatrix, normalize: bool = True) -> RotationResult:
     """Rotate a truncated loading matrix towards simple structure.
 
     Runs up to ``WARM_SWEEPS`` pairwise sweeps; when they do not converge,
-    SVD iterations take the rotation close to a stationary point, and
-    pairwise sweeps resume on what is left of ``MAX_SWEEPS`` until one
-    sweep improves the objective by less than ``TOL`` relative.  When the
+    Newton steps take the rotation to a stationary point, and pairwise
+    sweeps resume on what is left of ``MAX_SWEEPS`` until one sweep
+    improves the objective by less than ``TOL`` relative.  When the
     budget runs out first, the result carries ``converged=False``.  Every
     phase maximizes the criterion over all n rows, a row of zeros included.
     The result is the deterministic output of this path: a local optimum
@@ -265,7 +348,7 @@ def varimax(loadings: LoadingMatrix, normalize: bool = True) -> RotationResult:
     trace = [_objective(squares, squares.sum(axis=1), n)]
     sweeps, converged = _pairwise_sweeps(columns, turns, min(MAX_SWEEPS, WARM_SWEEPS), trace)
     if not converged and sweeps < MAX_SWEEPS:
-        _svd_iterations(columns, turns, trace)
+        _newton_steps(columns, turns, trace)
         certified, converged = _pairwise_sweeps(columns, turns, MAX_SWEEPS - sweeps, trace)
         sweeps += certified
     working = np.ascontiguousarray(columns.T) * scale

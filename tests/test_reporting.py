@@ -353,6 +353,8 @@ def test_analysis_validation():
                  for v in ("0.6", None, True)]
     mistyped += [("percent", v, ThresholdError, "percent threshold must be a real number")
                  for v in (None, "80", False)]
+    mistyped += [("kaiser_normalize", v, DataError, "kaiser_normalize must be a bool")
+                 for v in ("no", 0, None)]
     for name, value, error, message in mistyped:
         with pytest.raises(error, match=f"^{re.escape(f'{message}, got {value!r}')}$"):
             Analysis("x.csv", **{name: value})
@@ -362,6 +364,11 @@ def test_analysis_validation():
         Analysis("x.csv", percent=0)
     with pytest.raises(ThresholdError, match=r"^percent threshold must lie in \(0, 100\], got 100.5$"):
         Analysis("x.csv", "corr", percent=100.5)
+    assert not Analysis("x.csv", kaiser_normalize=np.bool_(False)).kaiser_normalize
+    for source in (123, None, b"x.csv"):
+        message = f"source must be a CSV path or a DataMatrix, got {source!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Analysis(source)
     observations = DataMatrix(np.eye(3), ("a", "b", "c"))
     with pytest.raises(DataError, match="a DataMatrix holds observations, not a correlation matrix"):
         Analysis(observations, "corr")

@@ -289,8 +289,8 @@ def test_zero_rows_pass_through_unchanged():
 @pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("max_sweeps", [0, 9, 50])
 def test_rows_longer_than_one_are_refused_before_rotating(monkeypatch, normalize, max_sweeps):
-    # row v1 has length 1.15: with a budget of 9 sweeps the SVD phase would turn
-    # it into an entry above 1, the pairwise loop alone would not
+    # row v1 has length 1.15: unchecked, the rotation turns it into an entry
+    # above 1 with a budget of 9 or 50 sweeps, and leaves it alone with 0
     entries = [
         [0.0, 0.0, 0.0, 0.0],
         [0.875, 0.0, 0.75, 0.0],
@@ -403,6 +403,20 @@ def loading_matrices(draw):
     True,
     9,
 )
+@example(
+    # after the Newton steps, the certificate sweep's tied plane rotations
+    # sum to an ulp below its start; the sweep is undone
+    LoadingMatrix(
+        [[0.0] * 4, [0.0, 1.0, 0.0, 0.0],
+         [-0.25, -0.132449660039635, 0.25, 0.0040913913904752075],
+         [0.0, 0.0, -0.53125, 0.18603338560581162],
+         [-0.25, 0.0, 0.0, 0.2771317359192216],
+         [0.21174156969012756, -0.19101165821716468, 0.7640466328686587, 0.5787165082251888]],
+        tuple(f"v{i}" for i in range(6)),
+    ),
+    True,
+    9,
+)
 def test_sweep_is_bit_identical_to_oracle(loadings, normalize, max_sweeps):
     expected = _rotation_outcome(
         varimax_oracle.varimax, loadings, normalize=normalize, max_sweeps=max_sweeps
@@ -446,7 +460,7 @@ def test_sweep_is_bit_identical_to_oracle_on_a_wide_input(wide_loadings):
 
 
 # ---------------------------------------------------------------------------
-# the SVD phase and the certificate on dense factor models
+# the Newton phase and the certificate on dense factor models
 
 
 @pytest.fixture(scope="module", params=[
@@ -464,7 +478,7 @@ def test_dense_rotation_goes_past_the_warm_up(dense_run):
     _, _, result = dense_run
     assert result.converged
     assert WARM_SWEEPS < result.sweeps_used < 50
-    assert len(result.objective_trace) > 1 + result.sweeps_used  # SVD iterations were kept
+    assert len(result.objective_trace) > 1 + result.sweeps_used  # Newton steps were kept
 
 
 def test_dense_objective_trace_never_decreases(dense_run):
@@ -494,18 +508,46 @@ def _row_norms(entries):
     return np.sqrt(np.sum(np.asarray(entries) ** 2, axis=1))
 
 
-def _assert_certified(loadings, normalize, result):
-    """No plane offset within 0.05 rad of the result gains 1e-9 of its objective.
+def _criterion_rows(loadings, normalize, result):
+    """The rotated rows on which the criterion is maximized.
 
-    With ``normalize``, the rows are scaled back to unit length first (a row
-    of length 0 stays as it is), since Kaiser's criterion is maximized there.
-    A plane whose angle terms both lie within ``ANGLE_EPS * n * sum(u**2 + v**2)``
-    of zero counts as featureless and is never rotated, so it is not checked.
+    With ``normalize``, the rows are scaled back to unit length (a row of
+    length 0 stays as it is), since Kaiser's criterion is maximized there.
     """
     working = result.rotated.entries
     if normalize:
         norms = _row_norms(loadings.entries)[:, None]
         working = working / np.where(norms > 0.0, norms, 1.0)
+    return working
+
+
+def _relative_gradient(working):
+    """``|M - M'|_F / |M|_F`` with ``M = Z' @ (4 * (n * Z * S - Z * colsum(S)))``, ``S = Z * Z``.
+
+    ``M`` is symmetric exactly where no rotation of the rows ``Z`` changes
+    the criterion to first order.
+    """
+    z = np.asarray(working, float)
+    squares = z * z
+    mixed = z.T @ (4.0 * z * (z.shape[0] * squares - squares.sum(axis=0)))
+    return np.linalg.norm(mixed - mixed.T) / np.linalg.norm(mixed)
+
+
+def test_dense_result_is_a_stationary_point(dense_run):
+    # the 100x17 Kaiser model is the wide_loadings input; the pairwise
+    # certificate alone leaves a relative gradient of a few 1e-6
+    loadings, normalize, result = dense_run
+    assert _relative_gradient(_criterion_rows(loadings, normalize, result)) <= 1e-8
+
+
+def _assert_certified(loadings, normalize, result):
+    """No plane offset within 0.05 rad of the result gains 1e-9 of its objective.
+
+    The rows are those of ``_criterion_rows``.  A plane whose angle terms
+    both lie within ``ANGLE_EPS * n * sum(u**2 + v**2)`` of zero counts as
+    featureless and is never rotated, so it is not checked.
+    """
+    working = _criterion_rows(loadings, normalize, result)
     base = varimax_objective(working)
     assert base == pytest.approx(result.objective_trace[-1], rel=1e-12)
     offsets = np.arange(-0.05, 0.05 + 1e-12, 1e-3)[:, None]
@@ -571,7 +613,7 @@ def _block_correlation_csv(path):
 
 
 def test_block_matrix_rotation_counts_its_zero_rows(tmp_path):
-    # the warm-up converges here on its own, so no SVD phase hides a
+    # the warm-up converges here on its own, so no Newton phase hides a
     # criterion that leaves the zero rows out
     analysis = Analysis(_block_correlation_csv(tmp_path / "block.csv"), "corr", factors=3)
     assert np.all(analysis.truncated.entries[8:] == 0.0)
@@ -603,9 +645,9 @@ def test_all_zero_loadings_come_back_unrotated():
         varimax_oracle.varimax(loadings)
 
 
-def test_without_svd_iterations_the_certificate_continues_the_oracle(monkeypatch):
+def test_without_newton_steps_the_certificate_continues_the_oracle(monkeypatch):
     # a cap of 0 leaves only pairwise sweeps, so the 50-sweep budget runs out
-    monkeypatch.setattr(varimax_module, "SVD_MAX", 0)
+    monkeypatch.setattr(varimax_module, "NEWTON_MAX", 0)
     loadings = dense_loadings(*DENSE_MODELS["40x8"])
     expected = _rotation_outcome(varimax_oracle.varimax, loadings)
     assert _rotation_outcome(varimax, loadings) == expected
@@ -613,11 +655,11 @@ def test_without_svd_iterations_the_certificate_continues_the_oracle(monkeypatch
 
 
 @pytest.mark.parametrize("cap", [1, 5, 20])
-def test_svd_cap_reports_convergence_as_measured(monkeypatch, wide_loadings, cap):
-    monkeypatch.setattr(varimax_module, "SVD_MAX", cap)
+def test_newton_cap_reports_convergence_as_measured(monkeypatch, wide_loadings, cap):
+    monkeypatch.setattr(varimax_module, "NEWTON_MAX", cap)
     result = varimax(wide_loadings)
     trace = result.objective_trace
-    assert len(trace) - 1 - result.sweeps_used <= cap
+    assert len(trace) <= 1 + result.sweeps_used + cap
     before, after = trace[-2], trace[-1]
     settled = after - before < 1e-9 * abs(before)
     assert result.converged == settled
