@@ -23,6 +23,13 @@ three phases on the (optionally Kaiser-normalized) rows:
    one sweep improves the objective by less than ``TOL`` relative: no
    plane rotation gains.
 
+A sweep computes exactly the numbers of a plain per-column loop with
+one-dimensional sums (``tests/varimax_oracle.py`` keeps one), in fewer
+numpy calls: each plane's five angle terms, and its candidate columns'
+squares and fourth powers, are rows of one buffer each, summed by one
+axis-1 sum.  Such a sum of a C-contiguous row is bit for bit the row's
+one-dimensional pairwise sum, so the warm-up ends on the loop's bits.
+
 Every phase keeps only steps that do not lower the objective, so the
 objective trace is non-decreasing.  Rows are optionally normalized to unit
 length before the rotation and restored afterwards (Kaiser normalization),
@@ -96,11 +103,6 @@ def _check_row_norms(row_norms: np.ndarray, labels: tuple[str, ...]) -> None:
         )
 
 
-def _column_objective(column: np.ndarray, n_rows: int) -> float:
-    squares = column**2
-    return n_rows * float((squares**2).sum()) - float(squares.sum()) ** 2
-
-
 def varimax_objective(loadings) -> float:
     """Sum over factors of the (n-scaled) variance of the squared loadings.
 
@@ -111,38 +113,36 @@ def varimax_objective(loadings) -> float:
     if a.ndim != 2 or a.shape[1] < 2:
         raise SizeError("objective needs at least two factor columns")
     squares = np.ascontiguousarray(a.T) ** 2
-    return _objective(squares, squares.sum(axis=1), a.shape[0])
+    return sum(_column_objectives(squares, squares.sum(axis=1), a.shape[0]))
 
 
-def _plane_angle(xs: np.ndarray, ys: np.ndarray, n: int) -> float | None:
-    """Rotation angle maximizing the two-column objective for the n points (xs, ys).
+def _plane_angle(sums: list[float], n: int) -> float | None:
+    """Rotation angle maximizing the two-column objective of a plane of n points (x, y).
 
+    ``sums`` holds the plane's five angle sums over its n points: of u, v,
+    u*v, u*u - v*v and u*u + v*v, with u = x**2 - y**2 and v = 2*x*y.
     Returns the angle in (-pi/4, pi/4], or None when both terms of the angle
     equation are within ``ANGLE_EPS`` times the plane's scale
     ``n * sum(u**2 + v**2)`` of zero: the plane, an all-zero one included,
-    carries no preference and is skipped.  The arrays have length ``n`` >= 2.
+    carries no preference and is skipped.
     """
-    u = xs**2 - ys**2
-    v = 2.0 * xs * ys
-    sum_u = float(u.sum())
-    sum_v = float(v.sum())
-    uu, vv = u * u, v * v  # as u**2 and v**2, bit for bit
-    numerator = 2.0 * (n * float((u * v).sum()) - sum_u * sum_v)
-    denominator = n * float((uu - vv).sum()) - (sum_u**2 - sum_v**2)
-    limit = ANGLE_EPS * n * float((uu + vv).sum())
+    sum_u, sum_v, sum_uv, sum_difference, sum_magnitude = sums
+    numerator = 2.0 * (n * sum_uv - sum_u * sum_v)
+    denominator = n * sum_difference - (sum_u**2 - sum_v**2)
+    limit = ANGLE_EPS * n * sum_magnitude
     if abs(numerator) <= limit and abs(denominator) <= limit:
         return None
     # atan2 places 4*phi in the quadrant dictated by the two signs
     return math.atan2(numerator, denominator) / 4.0
 
 
-def _objective(squares: np.ndarray, sums: np.ndarray, n_rows: int) -> float:
-    """The sum of ``_column_objective`` over the rows of a factor-major array, bit for bit.
+def _column_objectives(squares: np.ndarray, sums: np.ndarray, n_rows: int) -> list[float]:
+    """Kaiser's criterion of each row of a factor-major array; the objective is their sum.
 
     Takes the array's squares and their row sums, which the caller reuses.
     """
     fourths = (squares * squares).sum(axis=1).tolist()
-    return sum(n_rows * a - b**2 for a, b in zip(fourths, sums.tolist()))
+    return [n_rows * a - b**2 for a, b in zip(fourths, sums.tolist())]
 
 
 def _pairwise_sweeps(
@@ -151,57 +151,96 @@ def _pairwise_sweeps(
     """Up to ``budget`` pairwise sweeps on ``columns`` and ``turns``, in place.
 
     Factor j is row j of ``columns`` and of ``turns`` (the rotation's column
-    j), so each plane reads and writes contiguous rows.  ``trace[-1]`` is the
-    objective of ``columns`` on entry; each sweep appends its objective.
-    Returns the sweeps run and whether the last one improved the objective
-    by less than ``TOL`` relative to its start.
+    j).  ``trace[-1]`` is the objective of ``columns`` on entry; each sweep
+    appends its objective.  Returns the sweeps run and whether the last one
+    improved the objective by less than ``TOL`` relative to its start.
+
+    The sweep keeps each factor as one row of length n + k, its column with
+    its turn row beside it, so one ``c * p + s * q`` rotates both, and an
+    accepted plane rebinds two list entries.  Each plane's five angle terms
+    fill the rows of one buffer and are summed by one axis-1 sum, and so
+    are the candidate columns' squares and fourth powers; the squares of a
+    kept column serve the next plane's angle terms.  An axis-1 sum of a
+    C-contiguous row is that row's one-dimensional pairwise sum bit for
+    bit, and elementwise operations do not depend on how the rows are
+    stacked, so every number is the one a per-column loop with
+    one-dimensional sums computes.
 
     Each plane keeps a rotation that does not lower its two columns'
     objectives, so at a stationary point a sweep can take tied rotations
     whose sum ends an ulp below its start.  Such a sweep is undone: its
-    starting columns and turns are restored, its starting objective is
-    appended, and it counts as converged.
+    starting rows are restored, its starting objective is appended, and it
+    counts as converged.
     """
     k, n = columns.shape
-    objectives = [_column_objective(columns[j], n) for j in range(k)]
+    rows = list(np.hstack((columns, turns)))
+    column_squares = columns * columns
+    objectives = _column_objectives(column_squares, column_squares.sum(axis=1), n)
+    squares = list(column_squares)
+    terms = np.empty((5, n))
+    u, v, uv, difference, magnitude = terms
+    vv = np.empty(n)
+    candidate = np.empty((4, n))
+    square_p, square_q, fourth_p, fourth_q = candidate
     objective = trace[-1]
+    sweeps, converged = budget, False
     for sweep in range(1, budget + 1):
-        start = columns.copy(), turns.copy()
+        start = rows.copy()
         for p in range(k - 1):
-            x = columns[p]
+            row_p = rows[p]
+            x = row_p[:n]
             for q in range(p + 1, k):
-                y = columns[q]
-                angle = _plane_angle(x, y, n)
+                row_q = rows[q]
+                np.subtract(squares[p], squares[q], out=u)
+                np.multiply(x, 2.0, out=v)  # v = (2x)y, which rounds as 2.0 * x * y does
+                np.multiply(v, row_q[:n], out=v)
+                np.multiply(u, v, out=uv)
+                np.multiply(u, u, out=magnitude)
+                np.multiply(v, v, out=vv)
+                np.subtract(magnitude, vv, out=difference)
+                np.add(magnitude, vv, out=magnitude)
+                angle = _plane_angle(terms.sum(axis=1).tolist(), n)
                 if angle is None:
                     continue
                 c = math.cos(angle)
                 s = math.sin(angle)
-                new_p = c * x + s * y
-                new_q = -s * x + c * y
-                after_p = _column_objective(new_p, n)
-                after_q = _column_objective(new_q, n)
+                new_p = c * row_p + s * row_q
+                new_q = -s * row_p + c * row_q
+                head_p = new_p[:n]
+                head_q = new_q[:n]
+                np.multiply(head_p, head_p, out=square_p)
+                np.multiply(head_q, head_q, out=square_q)
+                np.multiply(square_p, square_p, out=fourth_p)
+                np.multiply(square_q, square_q, out=fourth_q)
+                sum_p, sum_q, fourths_p, fourths_q = candidate.sum(axis=1).tolist()
+                after_p = n * fourths_p - sum_p**2
+                after_q = n * fourths_q - sum_q**2
                 if after_p + after_q < objectives[p] + objectives[q]:
                     continue
-                columns[p] = new_p
-                columns[q] = new_q
+                rows[p] = row_p = new_p
+                rows[q] = new_q
+                x = head_p
+                squares[p] = square_p.copy()
+                squares[q] = square_q.copy()
                 objectives[p] = after_p
                 objectives[q] = after_q
-                rot_p = c * turns[p] + s * turns[q]
-                rot_q = -s * turns[p] + c * turns[q]
-                turns[p] = rot_p
-                turns[q] = rot_q
         new_objective = sum(objectives)
         if new_objective < objective:
-            columns[:], turns[:] = start
+            rows = start
             trace.append(objective)
-            return sweep, True
+            sweeps, converged = sweep, True
+            break
         trace.append(new_objective)
         improvement = new_objective - objective
         scale = abs(objective) if objective != 0.0 else 1.0
         objective = new_objective
         if improvement < TOL * scale:
-            return sweep, True
-    return budget, False
+            sweeps, converged = sweep, True
+            break
+    block = np.array(rows)
+    columns[:] = block[:, :n]
+    turns[:] = block[:, n:]
+    return sweeps, converged
 
 
 def _skew(a: np.ndarray) -> np.ndarray:
@@ -293,7 +332,7 @@ def _newton_steps(columns: np.ndarray, turns: np.ndarray, trace: list[float]) ->
             candidate = turn.T @ columns
             candidate_squares = candidate * candidate
             candidate_sums = candidate_squares.sum(axis=1)
-            gained = _objective(candidate_squares, candidate_sums, n)
+            gained = sum(_column_objectives(candidate_squares, candidate_sums, n))
             if gained >= objective:
                 break
             t /= 2.0
@@ -345,7 +384,7 @@ def varimax(loadings: LoadingMatrix, normalize: bool = True) -> RotationResult:
     columns = working.T.copy()
     turns = np.eye(k)
     squares = columns * columns
-    trace = [_objective(squares, squares.sum(axis=1), n)]
+    trace = [sum(_column_objectives(squares, squares.sum(axis=1), n))]
     sweeps, converged = _pairwise_sweeps(columns, turns, min(MAX_SWEEPS, WARM_SWEEPS), trace)
     if not converged and sweeps < MAX_SWEEPS:
         _newton_steps(columns, turns, trace)

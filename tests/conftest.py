@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from reference_values import WEATHER_CORR, WEATHER_LABELS
 
 from facpca import CorrelationMatrix, eigen_symmetric, full_loadings
+from facpca.varimax import _plane_angle
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +68,11 @@ def dense_factor_correlation(seed: int, n: int, factors: int) -> np.ndarray:
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
     return corr
+
+
+def plane_angle(x: np.ndarray, y: np.ndarray) -> float | None:
+    """``varimax._plane_angle`` of the plane of points (x, y), from its five angle sums."""
+    u = x**2 - y**2
+    v = 2.0 * x * y
+    terms = np.stack((u, v, u * v, u * u - v * v, u * u + v * v))
+    return _plane_angle(terms.sum(axis=1).tolist(), x.size)

@@ -30,9 +30,13 @@ from facpca import (
 from facpca.cli import main as cli_main
 from facpca.datasets import dataset1_corr_path
 from facpca.reporting import read_correlation_csv
-from facpca.varimax import _plane_angle
 
-from conftest import permuted_sign_matched_diff, random_correlation_psd, sign_matched_diff
+from conftest import (
+    permuted_sign_matched_diff,
+    plane_angle,
+    random_correlation_psd,
+    sign_matched_diff,
+)
 from reference_values import (
     REF_AVERVAR_PCT,
     REF_COMMUNALITIES_3F,
@@ -211,14 +215,15 @@ def test_criterion_09_property_suite(fixture_loadings):
     for _ in range(50):
         x = rng.uniform(-1, 1, 6)
         y = rng.uniform(-1, 1, 6)
-        analytic = _plane_angle(x, y, 6)
+        analytic = plane_angle(x, y)
         rx = x * cos_g + y * sin_g
         ry = -x * sin_g + y * cos_g
+        sx, sy = rx * rx, ry * ry  # squaring twice is much faster than **4
         objective = (
-            6 * np.sum(rx**4, axis=1)
-            - np.sum(rx**2, axis=1) ** 2
-            + 6 * np.sum(ry**4, axis=1)
-            - np.sum(ry**2, axis=1) ** 2
+            6 * np.sum(sx * sx, axis=1)
+            - np.sum(sx, axis=1) ** 2
+            + 6 * np.sum(sy * sy, axis=1)
+            - np.sum(sy, axis=1) ** 2
         )
         best = float(grid[int(np.argmax(objective))])
         gap = abs(analytic - best) % (math.pi / 2)

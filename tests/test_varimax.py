@@ -20,9 +20,9 @@ from facpca import (
     varimax,
     varimax_objective,
 )
-from facpca.varimax import WARM_SWEEPS, _plane_angle
+from facpca.varimax import WARM_SWEEPS
 
-from conftest import dense_factor_correlation, permuted_sign_matched_diff
+from conftest import dense_factor_correlation, permuted_sign_matched_diff, plane_angle
 from reference_values import (
     REF_LOADINGS_3F_ROTATED,
     REF_LOADINGS_4F_ROTATED,
@@ -82,16 +82,16 @@ def test_objective_requires_two_columns():
 
 
 # ---------------------------------------------------------------------------
-# _plane_angle
+# the plane angle
 
 
 def test_angle_of_simple_structure_is_zero():
-    assert _plane_angle(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 2) == pytest.approx(0.0)
+    assert plane_angle(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
 
 
 def test_angle_undefined_for_featureless_plane():
-    assert _plane_angle(np.zeros(2), np.zeros(2), 2) is None
-    assert _plane_angle(np.zeros(5), np.zeros(5), 5) is None
+    assert plane_angle(np.zeros(2), np.zeros(2)) is None
+    assert plane_angle(np.zeros(5), np.zeros(5)) is None
     result = varimax(LoadingMatrix(np.zeros((5, 2)), tuple("abcde")))
     assert result.converged
     assert np.array_equal(result.rotation, np.eye(2))
@@ -111,7 +111,7 @@ def test_rotation_invariant_plane_is_left_unrotated():
     # the angle terms are rounding noise and any angle they gave would be arbitrary
     t = np.arange(8) * np.pi / 8
     entries = 0.9 * np.column_stack((np.cos(t), np.sin(t)))
-    assert _plane_angle(entries[:, 0], entries[:, 1], 8) is None
+    assert plane_angle(entries[:, 0], entries[:, 1]) is None
     for normalize in (True, False):
         result = varimax(LoadingMatrix(entries, tuple("abcdefgh")), normalize=normalize)
         assert result.converged
@@ -140,7 +140,7 @@ def test_angle_quadrant_follows_term_signs():
         numerator, denominator = _angle_terms(x, y)
         if abs(numerator) < 1e-12 or abs(denominator) < 1e-12:
             continue
-        four_phi = 4.0 * _plane_angle(x, y, x.size)
+        four_phi = 4.0 * plane_angle(x, y)
         if numerator > 0 and denominator > 0:
             assert 0 < four_phi < math.pi / 2
             seen.add("++")
@@ -180,17 +180,18 @@ def test_angle_matches_grid_search_on_random_planes():
     for _ in range(50):
         x = rng.uniform(-1, 1, 6)
         y = rng.uniform(-1, 1, 6)
-        analytic = _plane_angle(x, y, x.size)
+        analytic = plane_angle(x, y)
         cos_g = np.cos(grid)[:, None]
         sin_g = np.sin(grid)[:, None]
         rx = x * cos_g + y * sin_g
         ry = -x * sin_g + y * cos_g
         n = x.size
+        sx, sy = rx * rx, ry * ry  # squaring twice is much faster than **4
         objective = (
-            n * np.sum(rx**4, axis=1)
-            - np.sum(rx**2, axis=1) ** 2
-            + n * np.sum(ry**4, axis=1)
-            - np.sum(ry**2, axis=1) ** 2
+            n * np.sum(sx * sx, axis=1)
+            - np.sum(sx, axis=1) ** 2
+            + n * np.sum(sy * sy, axis=1)
+            - np.sum(sy, axis=1) ** 2
         )
         best = float(grid[int(np.argmax(objective))])
         assert _circular_gap(analytic, best) < 1e-4
@@ -459,6 +460,23 @@ def test_sweep_is_bit_identical_to_oracle_on_a_wide_input(wide_loadings):
     assert objective == pytest.approx(settled.objective_trace[-1], rel=1e-6)
 
 
+@pytest.mark.parametrize("model, normalize", [
+    pytest.param(DENSE_MODELS["100x17"], True, id="100x17-kaiser"),
+    pytest.param(DENSE_MODELS["100x17"], False, id="100x17-raw"),
+    # n > 128 crosses numpy's pairwise-sum block in every row sum
+    pytest.param((1, 300, 8, 6), True, id="300x6-kaiser"),
+])
+def test_warm_up_is_bit_identical_to_oracle_at_wide_n(monkeypatch, model, normalize):
+    # a budget of WARM_SWEEPS leaves only the warm-up, which runs to its end
+    monkeypatch.setattr(varimax_module, "MAX_SWEEPS", WARM_SWEEPS)
+    loadings = dense_loadings(*model)
+    expected = _rotation_outcome(
+        varimax_oracle.varimax, loadings, normalize=normalize, max_sweeps=WARM_SWEEPS
+    )
+    assert expected[3:] == (WARM_SWEEPS, False)
+    assert _rotation_outcome(varimax, loadings, normalize=normalize) == expected
+
+
 # ---------------------------------------------------------------------------
 # the Newton phase and the certificate on dense factor models
 
@@ -558,7 +576,7 @@ def _assert_certified(loadings, normalize, result):
         x = working[:, p]
         for q in range(p + 1, k):
             y = working[:, q]
-            if _plane_angle(x, y, n) is None:
+            if plane_angle(x, y) is None:
                 continue
             gains = -_pair_objective(x, y, 0.0)
             for column in (x * cos + y * sin, -x * sin + y * cos):
