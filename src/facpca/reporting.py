@@ -127,8 +127,15 @@ def _g12_row(columns: int) -> str:
 # monotone and every .5 fraction below 2**40 is a double, so m lies on the
 # same side of a .5 fraction as P unless m lands on it: elsewhere rint(m) is
 # the correctly rounded 12-digit mantissa.
+#
+# Each cell is written as a 24-byte row, three little-endian words whose NUL
+# bytes are then deleted: word 0 the masked "-0.000" prefix, words 1-2 the
+# 12 digits once, in bytes 8-19, and the separator in byte 23.  For X >= 0
+# the digits after X are taken from the digits shifted up one byte across
+# the two words, which frees byte 9 + X for the point.  A printed cell and
+# its separator take at most 19 of the 24 bytes.
 
-G12_PASS_CELLS = 4096  # cells per kernel pass; bounds the text and temporaries held at once
+G12_PASS_CELLS = 8192  # cells per kernel pass; bounds the text and temporaries held at once
 # exact doubles (every power of ten up to 1e22 is one), so m is rounded once
 _POW10 = np.array(
     [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16]
@@ -144,41 +151,46 @@ _DIGITS4 = (
 _TRAILING_ZEROS4 = np.add.reduce(
     [np.arange(10000, dtype=np.int16) % 10**p == 0 for p in range(1, 5)], dtype=np.int8
 )
+_SHIFT8 = np.uint64(8)
 _SHIFT32 = np.uint64(32)
+_SHIFT56 = np.uint64(56)
 
 
 def _g12_masks() -> np.ndarray:
-    """The byte masks of a cell's row, five words per (X + 4, digits - 1, negative).
+    """The byte masks of a cell's row, indexed [kind, word, code].
 
-    A row is 40 bytes, five little-endian words: bytes 0-5 hold "-0.000",
-    bytes 8-19 the 12 digits, byte 20 the point, bytes 24-35 the 12 digits
-    again and byte 36 the separator.  The mask keeps the sign of a negative
-    cell and, for X < 0, "0.", -X - 1 zeros and the significant digits of
-    the first copy.  For X >= 0 it keeps digits 0..X of the first copy, then
-    the point and the significant digits after X of the second copy when
-    there are any.  The row's other bytes are NUL and get deleted.
+    The code is ((X + 4) * 12 + digits - 1) * 2 + negative, with digits
+    the significant digit count.  A row is 24 bytes, three little-endian
+    words: bytes 0-5 hold "-0.000", bytes 8-19 the 12 digits and byte 23
+    the separator.  The three kinds are the bytes kept in place, the bytes
+    kept from the digits shifted up one byte (digit i in byte 9 + i), and
+    the point byte.  In place, the mask keeps the sign of a negative cell;
+    for X < 0 it also keeps "0.", -X - 1 zeros and the significant digits,
+    and for X >= 0 digits 0..X, also where they are trailing zeros.  For
+    X >= 0 the point goes in byte 9 + X when a significant digit follows
+    X, and those digits are kept from the shifted copy.  Word 0 has no
+    shifted or point bytes.  The row's other bytes are NUL and get deleted.
     """
     x = np.arange(-4, 12)[:, None, None, None]
     digits = np.arange(1, 13)[None, :, None, None]
     negative = np.arange(2)[None, None, :, None]
-    byte = np.arange(40)
-    first, second = byte - 8, byte - 24
-    keep = (
+    byte = np.arange(24)
+    in_place = (
         ((byte == 0) & (negative == 1))
         | (((byte == 1) | (byte == 2)) & (x < 0))
         | ((byte >= 3) & (byte <= 5) & (x <= 1 - byte))
-        | ((first >= 0) & (first < 12) & np.where(x < 0, first < digits, first <= x))
-        | ((byte == 20) & (x >= 0) & (digits > x + 1))
-        | ((second >= 0) & (second < 12) & (x >= 0) & (second > x) & (second < digits))
-        | (byte == 36)
+        | ((byte >= 8) & (byte < 20) & np.where(x < 0, byte - 8 < digits, byte - 8 <= x))
     )
-    return np.ascontiguousarray((keep * np.uint8(255)).reshape(-1, 40).view("<u8").T)
+    shifted = (x >= 0) & (byte - 9 > x) & (byte - 9 < digits)
+    point = (x >= 0) & (byte == 9 + x) & (digits > x + 1)
+    keep = np.stack(np.broadcast_arrays(in_place, shifted, point)).reshape(3, -1, 24)
+    return np.ascontiguousarray((keep * np.uint8(255)).view("<u8").transpose(0, 2, 1))
 
 
-_MASKS = _g12_masks()
-_POINT = _MASKS[2] & (np.uint64(ord(".")) << _SHIFT32)
-_PREFIX = _MASKS[0] & np.frombuffer(b"-0.000\0\0", dtype="<u8")[0]
-_LEFT_TO_PERCENT = np.frombuffer(b"%.12g".ljust(32, b"\0"), dtype="<u8")
+_IN_PLACE, _SHIFTED, _POINT_BYTE = _g12_masks()
+_PREFIX = _IN_PLACE[0] & np.frombuffer(b"-0.000\0\0", dtype="<u8")[0]
+_POINT = _POINT_BYTE & np.frombuffer(b"." * 8, dtype="<u8")[0]
+_LEFT_TO_PERCENT = np.frombuffer(b"%.12g".ljust(16, b"\0"), dtype="<u8")
 
 
 def _decimal_exponent(a: np.ndarray) -> np.ndarray:
@@ -186,11 +198,18 @@ def _decimal_exponent(a: np.ndarray) -> np.ndarray:
     return np.floor(np.log10(a)).astype(np.intp)
 
 
+def _separators(columns: int) -> np.ndarray:
+    """Each column's separator in byte 23 of a cell's row: commas, then a newline."""
+    separators = np.full(columns, ord(","), np.uint64)
+    separators[-1] = ord("\n")
+    return separators << _SHIFT56
+
+
 def _g12_pass(x: np.ndarray, separators: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The ASCII text of the cells ``x``, whole rows in row order.
 
-    ``separators`` holds each column's separator, shifted into byte 4 of a
-    word.  Returns the text, in which each cell the kernel does not print
+    ``separators`` holds each column's separator, as ``_separators`` gives
+    it.  Returns the text, in which each cell the kernel does not print
     reads "%.12g", and the positions of those cells in ``x``.
     """
     a = np.abs(x)
@@ -207,8 +226,12 @@ def _g12_pass(x: np.ndarray, separators: np.ndarray) -> tuple[bytes, np.ndarray]
     carry = mantissa >= 1e12
     exponent += carry
     mantissa[carry] = 1e11
-    high, low = np.divmod(mantissa.astype(np.int64), 10000)
-    top, middle = np.divmod(high, 10000)
+    # floor division by a constant is faster than np.divmod; the products are exact
+    mantissa = mantissa.astype(np.int64)
+    high = mantissa // 10000
+    low = mantissa - high * 10000
+    top = high // 10000
+    middle = high - top * 10000
     trailing = _TRAILING_ZEROS4[low]
     whole = np.flatnonzero(low == 0)  # rare: the last four digits are zeros
     trailing[whole] += np.where(
@@ -217,19 +240,28 @@ def _g12_pass(x: np.ndarray, separators: np.ndarray) -> tuple[bytes, np.ndarray]
     code = ((exponent + 4) * 12 + 11 - trailing) * 2 + (x < 0)
     first = _DIGITS4[top] | (_DIGITS4[middle] << _SHIFT32)
     last = _DIGITS4[low]
-    words = np.empty((x.size, 5), "<u8")  # little-endian: a word's lowest byte comes first
+    words = np.empty((x.size, 3), "<u8")  # little-endian: a word's lowest byte comes first
     _PREFIX.take(code, out=words[:, 0])
-    np.bitwise_and(first, _MASKS[1].take(code), out=words[:, 1])
-    np.bitwise_or(last & _MASKS[2].take(code), _POINT.take(code), out=words[:, 2])
-    np.bitwise_and(first, _MASKS[3].take(code), out=words[:, 3])
+    # word 1: digits 0-7 in place, or shifted up one byte around the point
     np.bitwise_or(
-        (last & _MASKS[4].take(code)).reshape(-1, separators.size),
+        (first & _IN_PLACE[1].take(code)) | ((first << _SHIFT8) & _SHIFTED[1].take(code)),
+        _POINT[1].take(code),
+        out=words[:, 1],
+    )
+    # word 2: digits 8-11, shifted up one byte with digit 7 below them, and the separator
+    shifted = (last << _SHIFT8) | (first >> _SHIFT56)
+    np.bitwise_or(
+        (
+            (last & _IN_PLACE[2].take(code))
+            | (shifted & _SHIFTED[2].take(code))
+            | _POINT[2].take(code)
+        ).reshape(-1, separators.size),
         separators,
-        out=words[:, 4].reshape(-1, separators.size),
+        out=words[:, 2].reshape(-1, separators.size),
     )
     slow = np.flatnonzero(~fast)
-    words[slow, :4] = _LEFT_TO_PERCENT
-    words[slow, 4] &= np.uint64(0xFF) << _SHIFT32
+    words[slow, :2] = _LEFT_TO_PERCENT
+    words[slow, 2] &= np.uint64(0xFF) << _SHIFT56
     return words.tobytes().translate(None, b"\0"), slow
 
 
@@ -241,9 +273,7 @@ def _g12_text(values: np.ndarray):
     one column.
     """
     rows, columns = values.shape
-    separators = np.full(columns, ord(","), np.uint64)
-    separators[-1] = ord("\n")
-    separators <<= _SHIFT32
+    separators = _separators(columns)
     step = max(1, G12_PASS_CELLS // columns)
     for start in range(0, rows, step):
         x = values[start : start + step].ravel()

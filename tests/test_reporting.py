@@ -20,6 +20,7 @@ from facpca.reporting import (
     _decimal_exponent,
     _format_block,
     _g12_pass,
+    _separators,
     _write_csv,
     criteria_table,
     emit_scree,
@@ -327,9 +328,43 @@ def test_g12_kernel_corrects_an_exponent_estimate_one_off(monkeypatch):
 def test_g12_kernel_prints_nearly_every_normal_cell():
     # the cells left to % print the same text, so only their count shows a slide back to %
     values = np.random.default_rng(11).standard_normal((4096, 7))
-    separators = np.array([ord(",")] * 6 + [ord("\n")], np.uint64) << np.uint64(32)
-    _, rest = _g12_pass(values.ravel(), separators)
+    _, rest = _g12_pass(values.ravel(), _separators(7))
     assert len(rest) <= 0.01 * values.size
+
+
+def _layout_cell(exponent: int, digits: int, negative: bool) -> float:
+    """A value whose ``%.12g`` has exponent X = ``exponent`` and ``digits`` significant digits.
+
+    The digits hold zeros inside and end in a nonzero digit, so that the
+    trailing-zero count gives ``digits`` exactly.
+    """
+    mantissa = "10203040506"[: digits - 1] + "7"
+    return float(f"{'-' if negative else ''}{mantissa[0]}.{mantissa[1:]}e{exponent}")
+
+
+# the ends of the two-word shift: the point in the last byte of word 1 (X = 6),
+# the first of word 2 (X = 7) and the last digit byte (X = 10); X = 11 after a
+# carry; integer digits that are trailing zeros; the longest cell, "-0.000"
+# and 12 digits; and 12 digits with zeros inside
+LAYOUT_EDGES = [
+    1234567.89123, -1234567.89123, 12345678.9123, -12345678.9123,
+    99999999999.99995, -99999999999.99995, 10000000000.5001,
+    -56804270600.0, 56804270600.0, 100000000.0, -0.000123456789123, 0.000100000000001,
+]
+
+
+def test_g12_kernel_prints_every_row_layout():
+    # one cell for each (X, digit count, sign) code of the mask tables
+    codes = [(x, d, neg) for x in range(-4, 12) for d in range(1, 13) for neg in (False, True)]
+    assert len(codes) == 384  # 16 exponents, 12 digit counts, 2 signs
+    cells = [_layout_cell(*code) for code in codes] + LAYOUT_EDGES
+    cells += [0.0] * (-len(cells) % 6)
+    values = np.array(cells).reshape(-1, 6)
+    template = _g12_template(6)
+    assert _format_block(values, template) == template * len(values) % tuple(cells)
+    # the kernel prints every cell of fixed notation below 1e11 itself
+    _, rest = _g12_pass(values.ravel(), _separators(6))
+    assert rest.tolist() == np.flatnonzero((np.abs(cells) >= 1e11) | (np.array(cells) == 0)).tolist()
 
 
 # ---------------------------------------------------------------------------
