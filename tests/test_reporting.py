@@ -171,10 +171,15 @@ SPECIAL_FLOATS = [
 QUOTED_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rx", " ", "", "\u00e9"]
 
 
-def _pass_edges(columns: int) -> list[int]:
+def _pass_edges(columns: int, cells: int = G12_PASS_CELLS) -> list[int]:
     """Row counts at the edges of the kernel's passes of ``columns``-cell rows."""
-    step = G12_PASS_CELLS // max(columns, 1)
+    step = cells // max(columns, 1)
     return [0, 1, 2, step - 1, step, step + 1, 3 * step + 17]
+
+
+# pass sizes for the special-value cases: G12_PASS_CELLS and a fixed smaller
+# one, so that the row counts of the cases stay fixed when the constant moves
+SPECIAL_PASS_CELLS = sorted({4096, G12_PASS_CELLS})
 
 
 def _written_by_both(labels, values) -> tuple[bytes, bytes]:
@@ -201,12 +206,17 @@ def test_block_writer_matches_cell_by_cell_oracle(columns, data):
     assert ours == oracle
 
 
-@pytest.mark.parametrize("rows", _pass_edges(4))
-def test_block_writer_matches_oracle_on_special_values(rows):
+@pytest.mark.parametrize(
+    "rows", sorted({rows for cells in SPECIAL_PASS_CELLS for rows in _pass_edges(4, cells)})
+)
+def test_block_writer_matches_oracle_on_special_values(monkeypatch, rows):
+    # each row count is at a pass edge for one of the pass sizes, and is written at each
     values = np.resize(np.array(SPECIAL_FLOATS), (rows, 4))
-    ours, oracle = _written_by_both(QUOTED_LABELS[:4], values)
-    assert ours == oracle
-    assert ours.count(b"\n") == rows + 2  # one label holds a line feed
+    for cells in SPECIAL_PASS_CELLS:
+        monkeypatch.setattr("facpca.reporting.G12_PASS_CELLS", cells)
+        ours, oracle = _written_by_both(QUOTED_LABELS[:4], values)
+        assert ours == oracle
+        assert ours.count(b"\n") == rows + 2  # one label holds a line feed
 
 
 @pytest.mark.parametrize("rows", [0, 1, 5])
