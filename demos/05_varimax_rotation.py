@@ -4,13 +4,13 @@ An orthogonal rotation of the retained factors changes neither the
 communalities nor the model fit, but it can concentrate each variable's
 loadings on few factors, which makes the factors interpretable.  Varimax
 maximizes the variance of the squared loadings.  It first sweeps the factor
-planes, picking in each the angle that maximizes that variance; a rotation
-that those sweeps do not settle within 8 continues with Newton steps until
-the criterion's gradient vanishes to rounding, and ends with pairwise
-sweeps that certify that no plane can improve it.  The weather rotation
-settles within the first sweeps.  With
-four factors the weather variables separate cleanly: each variable ends up
-dominated by a single factor.
+planes twice, picking in each the angle that maximizes that variance; a
+rotation that those two sweeps do not settle continues with Newton steps
+until the criterion's gradient vanishes to rounding, and ends with a
+pairwise sweep that certifies that no plane can improve it.  The weather
+rotation takes that whole path: two sweeps, the Newton steps, one
+certificate sweep.  With four factors the weather variables separate
+cleanly: each variable ends up dominated by a single factor.
 """
 
 import numpy as np

@@ -347,24 +347,38 @@ def _rotation_outcome(rotate, loadings, **options):
     return _outcome(result)
 
 
-def _settles_in_warm_up(expected, max_sweeps=50):
-    """Whether an oracle outcome ends within ``WARM_SWEEPS`` sweeps.
+def _settles_in_warm_up(expected, max_sweeps=50, warm=WARM_SWEEPS):
+    """Whether an oracle outcome ends within ``warm`` sweeps.
 
     It does when it raised, converged there or had no more budget.
     """
-    if max_sweeps <= WARM_SWEEPS or len(expected) == 2:
+    if max_sweeps <= warm or len(expected) == 2:
         return True
     *_, sweeps, converged = expected
-    return converged and sweeps <= WARM_SWEEPS
+    return converged and sweeps <= warm
+
+
+# A warm-up this long lets the weather fixture and the block matrix settle in
+# the pairwise sweeps, and runs the wide inputs' warm-up through 8 sweeps of
+# the sweep kernel, so the oracle checks below compare 8 sweeps' bits.
+ORACLE_SWEEPS = 8
 
 
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("normalize", [True, False])
-def test_sweep_is_bit_identical_to_oracle_on_weather(weather_loadings, k, normalize):
+def test_sweep_is_bit_identical_to_oracle_on_weather(monkeypatch, weather_loadings, k, normalize):
     loadings = truncate(weather_loadings, k)
     expected = _rotation_outcome(varimax_oracle.varimax, loadings, normalize=normalize)
-    assert _settles_in_warm_up(expected)
-    assert _rotation_outcome(varimax, loadings, normalize=normalize) == expected
+    assert _settles_in_warm_up(expected, warm=ORACLE_SWEEPS)
+    with monkeypatch.context() as patch:
+        patch.setattr(varimax_module, "WARM_SWEEPS", ORACLE_SWEEPS)
+        assert _rotation_outcome(varimax, loadings, normalize=normalize) == expected
+    # the default warm-up hands over to the Newton steps, which end on the
+    # oracle's optimum: no lower, and the same cells up to the oracle's path
+    settled = varimax_oracle.varimax(loadings, normalize=normalize)
+    result = varimax(loadings, normalize=normalize)
+    assert result.objective_trace[-1] >= settled.objective_trace[-1]
+    assert np.max(np.abs(result.rotated.entries - settled.rotated.entries)) <= 1e-5
 
 
 @st.composite
@@ -471,13 +485,14 @@ def test_sweep_is_bit_identical_to_oracle_on_a_wide_input(wide_loadings):
     pytest.param((1, 300, 8, 6), True, id="300x6-kaiser"),
 ])
 def test_warm_up_is_bit_identical_to_oracle_at_wide_n(monkeypatch, model, normalize):
-    # a budget of WARM_SWEEPS leaves only the warm-up, which runs to its end
-    monkeypatch.setattr(varimax_module, "MAX_SWEEPS", WARM_SWEEPS)
+    # a budget of ORACLE_SWEEPS leaves only the warm-up, which runs to its end
+    monkeypatch.setattr(varimax_module, "WARM_SWEEPS", ORACLE_SWEEPS)
+    monkeypatch.setattr(varimax_module, "MAX_SWEEPS", ORACLE_SWEEPS)
     loadings = dense_loadings(*model)
     expected = _rotation_outcome(
-        varimax_oracle.varimax, loadings, normalize=normalize, max_sweeps=WARM_SWEEPS
+        varimax_oracle.varimax, loadings, normalize=normalize, max_sweeps=ORACLE_SWEEPS
     )
-    assert expected[3:] == (WARM_SWEEPS, False)
+    assert expected[3:] == (ORACLE_SWEEPS, False)
     assert _rotation_outcome(varimax, loadings, normalize=normalize) == expected
 
 
@@ -562,6 +577,17 @@ def test_dense_result_is_a_stationary_point(dense_run):
     assert _relative_gradient(_criterion_rows(loadings, normalize, result)) <= 1e-8
 
 
+@pytest.mark.parametrize("normalize", [True, False], ids=["kaiser", "raw"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_weather_rotation_is_a_stationary_point(weather_loadings, k, normalize):
+    # the rotated tables of the report lie on the optimum, not where a
+    # pairwise sweep's relative gain first drops below TOL, which leaves a
+    # relative gradient of 3e-7 to 4e-6 here
+    loadings = truncate(weather_loadings, k)
+    result = varimax(loadings, normalize=normalize)
+    assert _relative_gradient(_criterion_rows(loadings, normalize, result)) <= 1e-8
+
+
 def _assert_certified(loadings, normalize, result):
     """No plane offset within 0.05 rad of the result gains 1e-9 of its objective.
 
@@ -634,14 +660,15 @@ def _block_correlation_csv(path):
     return path
 
 
-def test_block_matrix_rotation_counts_its_zero_rows(tmp_path):
-    # the warm-up converges here on its own, so no Newton phase hides a
-    # criterion that leaves the zero rows out
+def test_block_matrix_rotation_counts_its_zero_rows(monkeypatch, tmp_path):
+    # an ORACLE_SWEEPS warm-up converges here on its own, so no Newton phase
+    # hides a criterion that leaves the zero rows out
+    monkeypatch.setattr(varimax_module, "WARM_SWEEPS", ORACLE_SWEEPS)
     analysis = Analysis(_block_correlation_csv(tmp_path / "block.csv"), "corr", factors=3)
     assert np.all(analysis.truncated.entries[8:] == 0.0)
     result = analysis.rotation
     assert result.converged
-    assert result.sweeps_used <= WARM_SWEEPS
+    assert result.sweeps_used <= ORACLE_SWEEPS
     _assert_zero_rows_stay_zero_and_certified(analysis.truncated, True, result)
 
 
