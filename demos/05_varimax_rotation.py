@@ -6,11 +6,12 @@ loadings on few factors, which makes the factors interpretable.  Varimax
 maximizes the variance of the squared loadings.  It first sweeps the factor
 planes twice, picking in each the angle that maximizes that variance; a
 rotation that those two sweeps do not settle continues with Newton steps
-until the criterion's gradient vanishes to rounding, and ends with a
-pairwise sweep that certifies that no plane can improve it.  The weather
-rotation takes that whole path: two sweeps, the Newton steps, one
-certificate sweep.  With four factors the weather variables separate
-cleanly: each variable ends up dominated by a single factor.
+until the criterion's relative gradient is at most 1e-12 or a step gains
+nothing the objective's rounding can show, and ends with a pairwise sweep
+that certifies that no plane can improve it.  The weather rotation takes
+that whole path: two sweeps, the Newton steps, one certificate sweep.
+With four factors the weather variables separate cleanly: each variable
+ends up dominated by a single factor.
 """
 
 import numpy as np

@@ -347,35 +347,35 @@ def _rotation_outcome(rotate, loadings, **options):
     return _outcome(result)
 
 
-def _settles_in_warm_up(expected, max_sweeps=50, warm=WARM_SWEEPS):
-    """Whether an oracle outcome ends within ``warm`` sweeps.
-
-    It does when it raised, converged there or had no more budget.
-    """
-    if max_sweeps <= warm or len(expected) == 2:
-        return True
-    *_, sweeps, converged = expected
-    return converged and sweeps <= warm
-
-
 # A warm-up this long lets the weather fixture and the block matrix settle in
 # the pairwise sweeps, and runs the wide inputs' warm-up through 8 sweeps of
 # the sweep kernel, so the oracle checks below compare 8 sweeps' bits.
 ORACLE_SWEEPS = 8
 
 
+def _settles_in_warm_up(expected, max_sweeps=50):
+    """Whether an oracle outcome ends within ``ORACLE_SWEEPS`` sweeps.
+
+    It does when it raised, converged there or had no more budget.
+    """
+    if max_sweeps <= ORACLE_SWEEPS or len(expected) == 2:
+        return True
+    *_, sweeps, converged = expected
+    return converged and sweeps <= ORACLE_SWEEPS
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("normalize", [True, False])
 def test_sweep_is_bit_identical_to_oracle_on_weather(monkeypatch, weather_loadings, k, normalize):
     loadings = truncate(weather_loadings, k)
-    expected = _rotation_outcome(varimax_oracle.varimax, loadings, normalize=normalize)
-    assert _settles_in_warm_up(expected, warm=ORACLE_SWEEPS)
+    settled = varimax_oracle.varimax(loadings, normalize=normalize)
+    expected = _outcome(settled)
+    assert _settles_in_warm_up(expected)
     with monkeypatch.context() as patch:
         patch.setattr(varimax_module, "WARM_SWEEPS", ORACLE_SWEEPS)
         assert _rotation_outcome(varimax, loadings, normalize=normalize) == expected
     # the default warm-up hands over to the Newton steps, which end on the
     # oracle's optimum: no lower, and the same cells up to the oracle's path
-    settled = varimax_oracle.varimax(loadings, normalize=normalize)
     result = varimax(loadings, normalize=normalize)
     assert result.objective_trace[-1] >= settled.objective_trace[-1]
     assert np.max(np.abs(result.rotated.entries - settled.rotated.entries)) <= 1e-5
@@ -438,6 +438,7 @@ def test_sweep_is_bit_identical_to_oracle(loadings, normalize, max_sweeps):
         varimax_oracle.varimax, loadings, normalize=normalize, max_sweeps=max_sweeps
     )
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(varimax_module, "WARM_SWEEPS", ORACLE_SWEEPS)
         patch.setattr(varimax_module, "MAX_SWEEPS", max_sweeps)
         if np.any(_row_norms(loadings.entries) == 0.0) and expected[0] is not DataError:
             # the oracle leaves a row of length 0 out of the angle; the rotation
@@ -449,10 +450,10 @@ def test_sweep_is_bit_identical_to_oracle(loadings, normalize, max_sweeps):
     if _settles_in_warm_up(expected, max_sweeps):
         assert actual == expected
         return
-    # past the warm-up: the same first WARM_SWEEPS sweeps, then no loss
+    # past the warm-up: the same first ORACLE_SWEEPS sweeps, then no loss
     trace, expected_trace = actual[2], expected[2]
-    assert trace[: WARM_SWEEPS + 1] == expected_trace[: WARM_SWEEPS + 1]
-    assert trace[-1] >= expected_trace[WARM_SWEEPS]
+    assert trace[: ORACLE_SWEEPS + 1] == expected_trace[: ORACLE_SWEEPS + 1]
+    assert trace[-1] >= expected_trace[ORACLE_SWEEPS]
 
 
 @pytest.fixture(scope="module")
